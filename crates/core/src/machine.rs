@@ -936,7 +936,8 @@ impl Machine {
     }
 
     /// Fleet-wide fold of every core's host-side chain-efficacy
-    /// tallies (hits, patches, breaks, fallback steps). Host-only
+    /// tallies (hits, patches, breaks, fallback steps, data-memo hits
+    /// and misses). Host-only
     /// telemetry: deliberately *not* part of [`stats`](Self::stats) or
     /// [`per_core_stats`](Self::per_core_stats), whose contents the
     /// differential suites compare bit-for-bit across engine configs.
@@ -953,6 +954,8 @@ impl Machine {
             total.chain_patches += ch.chain_patches;
             total.chain_breaks += ch.chain_breaks;
             total.block_fallback_steps += ch.block_fallback_steps;
+            total.data_memo_hits += ch.data_memo_hits;
+            total.data_memo_misses += ch.data_memo_misses;
         }
         total
     }

@@ -398,6 +398,15 @@ pub struct ChainCounters {
     /// inside the block run loop (cold pages, MMU holes, page-spanning
     /// or pre-link text).
     pub block_fallback_steps: u64,
+    /// Block-lane loads and stores served by the core's data-side memo
+    /// instead of the D-TLB probe, region classification and latency
+    /// lookup.
+    pub data_memo_hits: u64,
+    /// Block-lane loads and stores that took the reference data path:
+    /// no memo entry covered the page (cold, evicted, or invalidated by
+    /// a D-TLB change), the access crossed a frame, or a store hit a
+    /// read-only page.
+    pub data_memo_misses: u64,
 }
 
 impl ChainCounters {
@@ -411,6 +420,8 @@ impl ChainCounters {
             ("chain_patches", self.chain_patches),
             ("chain_breaks", self.chain_breaks),
             ("block_fallback_steps", self.block_fallback_steps),
+            ("data_memo_hits", self.data_memo_hits),
+            ("data_memo_misses", self.data_memo_misses),
         ] {
             if v != 0 {
                 s.bump_by(name, v);
@@ -439,6 +450,57 @@ struct FetchFrame {
     line: u64,
     /// [`Tlb::generation`] snapshot at memo time.
     itlb_gen: u64,
+}
+
+/// Pages the data memo holds. Scanned MRU-first on every block-lane load
+/// and store, so it must stay tiny: a loop's stack, globals and a data
+/// page or two.
+const DATA_MEMO: usize = 4;
+
+/// One data-memo entry: a D-TLB slot's whole-page translation plus the
+/// timing of the one mapped region the page lies in, precomputed from
+/// the [`MemEnv`] of the current [`Core::run`].
+#[derive(Clone, Copy, Debug, Default)]
+struct DataPage {
+    /// Virtual page base (4 KiB, 2 MiB or 1 GiB aligned).
+    va_base: u64,
+    /// `!(page bytes - 1)`: one entry covers a whole huge page.
+    page_mask: u64,
+    /// Physical page base.
+    pa_base: u64,
+    /// Effective writability of the translation.
+    writable: bool,
+    /// The D-TLB slot holding the translation.
+    slot: usize,
+    /// Whether the region is D-cacheable for this core.
+    dcacheable: bool,
+    /// Load latency to the region.
+    read: Picos,
+    /// Store latency to the region.
+    write: Picos,
+}
+
+/// Host-side memo of recent data translations: the data-side twin of
+/// [`FetchFrame`]. While the D-TLB generation is unchanged, each entry's
+/// slot still holds the translation it mirrors; and because an entry is
+/// only installed while the D-TLB is [disjoint](Tlb::disjoint), a
+/// `lookup` of any address in the page would hit exactly that slot. A
+/// hit therefore replays the lookup's only effects with
+/// [`Tlb::touch`] and skips the probe, while the region classification
+/// and latency lookup it skips are pure functions of the page (an entry
+/// is only installed when the whole page lies in one mapped region, and
+/// the memo is emptied at every `run` entry, so the `MemEnv` cannot
+/// change under it). Only the block lane consults the memo, and the lane
+/// never runs while an MMU hole (which would shadow the TLB) is
+/// configured, so `fast_path = false` and hole-bearing cores run the
+/// reference path untouched.
+#[derive(Clone, Copy, Debug, Default)]
+struct DataMemo {
+    /// [`Tlb::generation`] of the D-TLB the entries were taken under.
+    dtlb_gen: u64,
+    /// Valid entries, most recently used first.
+    len: usize,
+    pages: [DataPage; DATA_MEMO],
 }
 
 /// Entries in the core's front block cache ([`Core::last_blocks`]).
@@ -480,6 +542,8 @@ pub struct Core {
     front_cursor: u8,
     /// Last-fetch translation memo (fast path only; see [`FetchFrame`]).
     fetch_frame: Option<FetchFrame>,
+    /// Data-side translation memo (block lane only; see [`DataMemo`]).
+    data_memo: DataMemo,
     /// `isa.fetch_align() - 1`, cached so the per-fetch alignment check
     /// is a mask instead of a division by a runtime value.
     fetch_align_mask: u64,
@@ -514,6 +578,7 @@ impl Core {
             last_blocks: [const { None }; FRONT_BLOCKS],
             front_cursor: 0,
             fetch_frame: None,
+            data_memo: DataMemo::default(),
             fetch_align_mask: cfg.isa.fetch_align() - 1,
             cfg,
         }
@@ -695,6 +760,12 @@ impl Core {
         let result = walk(
             |pte_addr| {
                 let region = env.map.classify(pte_addr);
+                if region == Region::Unmapped {
+                    // A table pointer no bus target decodes: the read
+                    // returns nothing, which the walk sees as a
+                    // not-present entry and faults on.
+                    return 0;
+                }
                 stall += env.latency.access(who, region, AccessKind::Read);
                 mem.read_u64(pte_addr)
             },
@@ -747,7 +818,7 @@ impl Core {
                         kind: InstFaultKind::NotPresent,
                     });
                 }
-                return Ok(h.translate(va));
+                return Self::fetchable(va, h.translate(va), env);
             }
         }
         let entry = match self.itlb.lookup(va) {
@@ -790,10 +861,25 @@ impl Core {
                 kind: InstFaultKind::Misaligned,
             });
         }
-        Ok(entry.translate(va))
+        Self::fetchable(va, entry.translate(va), env)
     }
 
-    /// Charges I-cache / memory time for a fetch at `pa`.
+    /// Passes a fetch translation whose frame a bus target decodes, and
+    /// faults one that lands on unmapped physical space — a page table
+    /// may point anywhere. Region bounds are frame-aligned, so one check
+    /// per translated frame covers every later fetch charge in it.
+    fn fetchable(va: VirtAddr, pa: PhysAddr, env: &MemEnv) -> Result<PhysAddr, Exception> {
+        if env.map.classify(pa) == Region::Unmapped {
+            return Err(Exception::InstFault {
+                va,
+                kind: InstFaultKind::NotPresent,
+            });
+        }
+        Ok(pa)
+    }
+
+    /// Charges I-cache / memory time for a fetch at `pa` (which
+    /// [`translate_exec`](Self::translate_exec) checked is mapped).
     fn charge_fetch(&mut self, pa: PhysAddr, env: &MemEnv) {
         if !self.icache.access(pa.as_u64()) {
             self.counters.icache_misses += 1;
@@ -927,8 +1013,20 @@ impl Core {
         }
     }
 
-    fn charge_data(&mut self, pa: PhysAddr, write: bool, env: &MemEnv) {
+    /// Charges D-cache / memory time for a data access at `pa`, or
+    /// faults — charging nothing — when no bus target decodes `pa` (a
+    /// page table or hole may point anywhere).
+    fn charge_data(
+        &mut self,
+        va: VirtAddr,
+        pa: PhysAddr,
+        write: bool,
+        env: &MemEnv,
+    ) -> Result<(), Exception> {
         let region = env.map.classify(pa);
+        if region == Region::Unmapped {
+            return Err(Exception::DataFault { va, write });
+        }
         let kind = if write {
             AccessKind::Write
         } else {
@@ -949,6 +1047,7 @@ impl Core {
             self.clock
                 .advance(env.latency.access(self.requester(), region, kind));
         }
+        Ok(())
     }
 
     /// Loads `size` bytes at `va` (zero-extended), splitting at page
@@ -962,17 +1061,18 @@ impl Core {
     ) -> Result<u64, Exception> {
         self.counters.loads += 1;
         let n = size.bytes();
-        let mut bytes = [0u8; 8];
         let first = (PAGE_SIZE - va.page_offset()).min(n);
         let pa = self.translate_data(va, false, mem, env)?;
-        self.charge_data(pa, false, env);
-        mem.read_bytes(pa, &mut bytes[..first as usize]);
-        if first < n {
-            let va2 = VirtAddr(va.page_base().as_u64() + PAGE_SIZE);
-            let pa2 = self.translate_data(va2, false, mem, env)?;
-            self.charge_data(pa2, false, env);
-            mem.read_bytes(pa2, &mut bytes[first as usize..n as usize]);
+        self.charge_data(va, pa, false, env)?;
+        if first == n {
+            return Ok(mem.read_word(pa, n));
         }
+        let mut bytes = [0u8; 8];
+        mem.read_bytes(pa, &mut bytes[..first as usize]);
+        let va2 = VirtAddr(va.page_base().as_u64() + PAGE_SIZE);
+        let pa2 = self.translate_data(va2, false, mem, env)?;
+        self.charge_data(va2, pa2, false, env)?;
+        mem.read_bytes(pa2, &mut bytes[first as usize..n as usize]);
         Ok(u64::from_le_bytes(bytes) & mask(n))
     }
 
@@ -987,16 +1087,191 @@ impl Core {
     ) -> Result<(), Exception> {
         self.counters.stores += 1;
         let n = size.bytes();
-        let bytes = val.to_le_bytes();
         let first = (PAGE_SIZE - va.page_offset()).min(n);
         let pa = self.translate_data(va, true, mem, env)?;
-        self.charge_data(pa, true, env);
+        self.charge_data(va, pa, true, env)?;
+        if first == n {
+            mem.write_word(pa, n, val);
+            return Ok(());
+        }
+        let bytes = val.to_le_bytes();
         mem.write_bytes(pa, &bytes[..first as usize]);
-        if first < n {
-            let va2 = VirtAddr(va.page_base().as_u64() + PAGE_SIZE);
-            let pa2 = self.translate_data(va2, true, mem, env)?;
-            self.charge_data(pa2, true, env);
-            mem.write_bytes(pa2, &bytes[first as usize..n as usize]);
+        let va2 = VirtAddr(va.page_base().as_u64() + PAGE_SIZE);
+        let pa2 = self.translate_data(va2, true, mem, env)?;
+        self.charge_data(va2, pa2, true, env)?;
+        mem.write_bytes(pa2, &bytes[first as usize..n as usize]);
+        Ok(())
+    }
+
+    /// The data memo's page covering `va` under the current D-TLB
+    /// generation, moved to the front.
+    #[inline]
+    fn data_memo_find(&mut self, va: u64) -> Option<DataPage> {
+        let m = &mut self.data_memo;
+        if m.dtlb_gen != self.dtlb.generation() {
+            return None;
+        }
+        for i in 0..m.len {
+            let p = m.pages[i];
+            if va & p.page_mask == p.va_base {
+                if i > 0 {
+                    m.pages.copy_within(0..i, 1);
+                    m.pages[0] = p;
+                }
+                return Some(p);
+            }
+        }
+        None
+    }
+
+    /// Memoizes the D-TLB entry that just served an in-frame access at
+    /// `va`, when [`DataMemo`]'s install conditions hold: the TLB is
+    /// disjoint and the whole page lies in one mapped region. (No MMU
+    /// hole can shadow it: the block lane only runs without holes.)
+    fn data_memo_install(&mut self, va: VirtAddr, env: &MemEnv) {
+        debug_assert!(self.holes.is_empty(), "block lane runs without holes");
+        let Some((slot, e)) = self.dtlb.mru_entry() else {
+            return;
+        };
+        let bytes = e.page.bytes();
+        if !e.covers(va) || !self.dtlb.disjoint() {
+            return;
+        }
+        let Some(region) = env.map.uniform_region(e.pa_base, bytes) else {
+            return;
+        };
+        let who = self.requester();
+        let page = DataPage {
+            va_base: e.va_base.as_u64(),
+            page_mask: !(bytes - 1),
+            pa_base: e.pa_base.as_u64(),
+            writable: e.writable,
+            slot,
+            dcacheable: self.dcacheable(region),
+            read: env.latency.access(who, region, AccessKind::Read),
+            write: env.latency.access(who, region, AccessKind::Write),
+        };
+        let gen = self.dtlb.generation();
+        let m = &mut self.data_memo;
+        if m.dtlb_gen != gen {
+            m.dtlb_gen = gen;
+            m.len = 0;
+        }
+        let kept = m.len.min(DATA_MEMO - 1);
+        m.pages.copy_within(0..kept, 1);
+        m.pages[0] = page;
+        m.len = kept + 1;
+    }
+
+    /// Charges a memoized access exactly as [`charge_data`] would for
+    /// the page's region: same D-cache access, same clock advance, same
+    /// order.
+    ///
+    /// [`charge_data`]: Self::charge_data
+    #[inline]
+    fn charge_memoized(&mut self, p: &DataPage, pa: u64, write: bool) {
+        if !p.dcacheable {
+            self.clock.advance(if write { p.write } else { p.read });
+        } else if write {
+            self.clock.advance(p.write);
+            self.dcache.access(pa);
+        } else if !self.dcache.access(pa) {
+            self.counters.dcache_misses += 1;
+            self.clock.advance(p.read);
+        }
+    }
+
+    /// Block-lane load: [`mem_read`](Self::mem_read) behind the data
+    /// memo. A hit in a frame-contained access replays the D-TLB hit
+    /// with [`Tlb::touch`] and charges from the memo; everything else
+    /// takes `mem_read` and may install the page.
+    #[inline]
+    fn lane_read(
+        &mut self,
+        va: VirtAddr,
+        size: MemSize,
+        mem: &PhysMem,
+        env: &MemEnv,
+    ) -> Result<u64, Exception> {
+        let n = size.bytes();
+        if va.page_offset() + n <= PAGE_SIZE {
+            if let Some(p) = self.data_memo_find(va.as_u64()) {
+                self.chain.data_memo_hits += 1;
+                self.counters.loads += 1;
+                self.dtlb.touch(p.slot);
+                let pa = p.pa_base | (va.as_u64() & !p.page_mask);
+                self.charge_memoized(&p, pa, false);
+                return Ok(mem.read_word(PhysAddr(pa), n));
+            }
+        }
+        self.lane_read_slow(va, size, mem, env)
+    }
+
+    /// [`lane_read`](Self::lane_read)'s memo miss: the reference path,
+    /// then an install attempt. Kept out of line so the hit path stays
+    /// small inside the block interpreter.
+    #[cold]
+    #[inline(never)]
+    fn lane_read_slow(
+        &mut self,
+        va: VirtAddr,
+        size: MemSize,
+        mem: &PhysMem,
+        env: &MemEnv,
+    ) -> Result<u64, Exception> {
+        self.chain.data_memo_misses += 1;
+        let v = self.mem_read(va, size, mem, env)?;
+        if va.page_offset() + size.bytes() <= PAGE_SIZE {
+            self.data_memo_install(va, env);
+        }
+        Ok(v)
+    }
+
+    /// Block-lane store: [`mem_write`](Self::mem_write) behind the data
+    /// memo, as [`lane_read`](Self::lane_read). A store to a read-only
+    /// page takes `mem_write`, which raises the fault.
+    #[inline]
+    fn lane_write(
+        &mut self,
+        va: VirtAddr,
+        size: MemSize,
+        val: u64,
+        mem: &mut PhysMem,
+        env: &MemEnv,
+    ) -> Result<(), Exception> {
+        let n = size.bytes();
+        if va.page_offset() + n <= PAGE_SIZE {
+            if let Some(p) = self.data_memo_find(va.as_u64()) {
+                if p.writable {
+                    self.chain.data_memo_hits += 1;
+                    self.counters.stores += 1;
+                    self.dtlb.touch(p.slot);
+                    let pa = p.pa_base | (va.as_u64() & !p.page_mask);
+                    self.charge_memoized(&p, pa, true);
+                    mem.write_word(PhysAddr(pa), n, val);
+                    return Ok(());
+                }
+            }
+        }
+        self.lane_write_slow(va, size, val, mem, env)
+    }
+
+    /// [`lane_write`](Self::lane_write)'s memo miss, as
+    /// [`lane_read_slow`](Self::lane_read_slow).
+    #[cold]
+    #[inline(never)]
+    fn lane_write_slow(
+        &mut self,
+        va: VirtAddr,
+        size: MemSize,
+        val: u64,
+        mem: &mut PhysMem,
+        env: &MemEnv,
+    ) -> Result<(), Exception> {
+        self.chain.data_memo_misses += 1;
+        self.mem_write(va, size, val, mem, env)?;
+        if va.page_offset() + size.bytes() <= PAGE_SIZE {
+            self.data_memo_install(va, env);
         }
         Ok(())
     }
@@ -1136,6 +1411,8 @@ impl Core {
     /// still charged per instruction, so `OutOfFuel` lands on exactly
     /// the same instruction as the step loop.
     fn run_blocks(&mut self, mem: &mut PhysMem, env: &MemEnv, fuel: u64) -> StopReason {
+        // The memo's timing came from the previous call's `MemEnv`.
+        self.data_memo.len = 0;
         let mut left = fuel;
         while left > 0 {
             match self.block_step(mem, env, &mut left) {
@@ -1739,7 +2016,7 @@ impl Core {
                     }
                     Inst::Ld { rd, base, off, size } => {
                         let va = VirtAddr(self.reg(base).wrapping_add(off as i64 as u64));
-                        match self.mem_read(va, size, mem, env) {
+                        match self.lane_read(va, size, mem, env) {
                             Ok(v) => {
                                 self.set_reg(rd, v);
                                 pc = next;
@@ -1751,7 +2028,7 @@ impl Core {
                     Inst::St { rs, base, off, size } => {
                         let va = VirtAddr(self.reg(base).wrapping_add(off as i64 as u64));
                         let v = self.reg(rs);
-                        match self.mem_write(va, size, v, mem, env) {
+                        match self.lane_write(va, size, v, mem, env) {
                             Ok(()) => pc = next,
                             Err(e) => break 'blk Err(e),
                         }
@@ -2385,6 +2662,71 @@ mod tests {
                 write: false,
             })
         );
+    }
+
+    /// A leaf PTE, a table pointer or a fetch target may name physical
+    /// space no bus target decodes; each must raise a typed fault (with
+    /// nothing charged for the dead access) on every engine, never
+    /// abort the simulator.
+    #[test]
+    fn unmapped_physical_targets_fault_on_every_engine() {
+        const DANGLING: u64 = 0x4000_0000_0000; // leaf -> unmapped PA
+        const TORN: u64 = 0x5000_0000_0000; // PML4 entry -> unmapped table
+        for fast_path in [true, false] {
+            let mut cfg = CoreConfig::host();
+            cfg.fast_path = fast_path;
+            let mut fx = fixture(cfg);
+            let mut alloc = BumpFrameAlloc::new(PhysAddr(0x180_0000), PhysAddr(0x200_0000));
+            fx.aspace
+                .map(
+                    &mut fx.mem,
+                    &mut alloc,
+                    VirtAddr(DANGLING),
+                    PhysAddr(0x2_0000_0000),
+                    flick_paging::PageSize::Size4K,
+                    flags::PRESENT | flags::WRITABLE | flags::USER,
+                )
+                .unwrap();
+            let pml4_slot = fx.aspace.cr3() + VirtAddr(TORN).pt_index(3) as u64 * 8;
+            fx.mem
+                .write_u64(pml4_slot, 0x3_0000_0000 | flags::PRESENT | flags::WRITABLE);
+            let env = MemEnv::paper_default();
+            let data = |fx: &mut Fixture, va: u64, store: bool| {
+                load_host_prog(fx, |f| {
+                    f.li(abi::A1, va as i64);
+                    if store {
+                        f.st(abi::A0, abi::A1, 8, MemSize::B8);
+                    } else {
+                        f.ld(abi::A0, abi::A1, 8, MemSize::B8);
+                    }
+                    f.halt();
+                });
+                fx.core.run(&mut fx.mem, &env, 10)
+            };
+            for va in [DANGLING, TORN] {
+                for write in [false, true] {
+                    assert_eq!(
+                        data(&mut fx, va, write),
+                        StopReason::Fault(Exception::DataFault {
+                            va: VirtAddr(va + 8),
+                            // Walk faults report a read, as for any
+                            // not-present entry.
+                            write: write && va == DANGLING,
+                        }),
+                        "fast_path {fast_path}: data at {va:#x}"
+                    );
+                }
+                fx.core.set_pc(VirtAddr(va));
+                assert_eq!(
+                    fx.core.run(&mut fx.mem, &env, 10),
+                    StopReason::Fault(Exception::InstFault {
+                        va: VirtAddr(va),
+                        kind: InstFaultKind::NotPresent,
+                    }),
+                    "fast_path {fast_path}: fetch at {va:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -134,6 +134,13 @@ pub struct Tlb {
     /// straight-line block — the invariant that lets a block charge its
     /// fetches without re-translating per instruction.
     generation: u64,
+    /// Set when an insert leaves two entries covering a common address
+    /// (a stale translation of a different page size that no shootdown
+    /// removed); cleared by a full flush. While it is clear, every
+    /// address is covered by at most one entry, so the one entry that
+    /// covers a page is exactly what `lookup` returns for any address in
+    /// it — the property [`touch`](Self::touch) callers rely on.
+    overlap: bool,
 }
 
 /// Page-size classes probed by [`Tlb::lookup`], smallest first.
@@ -168,6 +175,7 @@ impl Tlb {
             index: HashMap::with_capacity_and_hasher(capacity, U64BuildHasher::default()),
             class_counts: [0; PAGE_CLASSES.len()],
             generation: 0,
+            overlap: false,
         }
     }
 
@@ -240,6 +248,45 @@ impl Tlb {
         self.index.insert(key_of(entry.va_base, entry.page), pos);
         self.class_counts[class_of(entry.page)] += 1;
         self.mru = Some(pos);
+        // Entries of one size are disjoint (one entry per base), and
+        // aligned power-of-two pages of two sizes are nested or disjoint:
+        // they overlap iff one covers the other's base.
+        if self.class_counts.iter().filter(|&&n| n > 0).count() > 1 {
+            self.overlap |= self.entries.iter().any(|(e, _)| {
+                e.page != entry.page && (e.covers(entry.va_base) || entry.covers(e.va_base))
+            });
+        }
+    }
+
+    /// The most recently used entry and its slot: after a hit or an
+    /// insert, the entry that served it.
+    pub(crate) fn mru_entry(&self) -> Option<(usize, TlbEntry)> {
+        self.mru.map(|i| (i, self.entries[i].0))
+    }
+
+    /// True while no two entries cover a common address (see the
+    /// `overlap` field).
+    pub(crate) fn disjoint(&self) -> bool {
+        !self.overlap
+    }
+
+    /// Replays the LRU, MRU and hit-count update a [`lookup`] hit on
+    /// `slot` makes, without the probe. For callers that cache a
+    /// translation outside the TLB and validate it against
+    /// [`generation`](Self::generation): while the generation is
+    /// unchanged and the TLB is [`disjoint`](Self::disjoint), `lookup`
+    /// of any address in the slot's page would hit exactly this slot,
+    /// so `touch` leaves the TLB exactly as that lookup would.
+    ///
+    /// [`lookup`]: Self::lookup
+    #[inline]
+    pub(crate) fn touch(&mut self, slot: usize) {
+        self.hits += 1;
+        if self.mru != Some(slot) {
+            self.stamp += 1;
+            self.entries[slot].1 = self.stamp;
+            self.mru = Some(slot);
+        }
     }
 
     /// Removes entry `pos` from the index and class counts.
@@ -252,6 +299,7 @@ impl Tlb {
     /// Drops every entry (context switch / mprotect shootdown).
     pub fn flush(&mut self) {
         self.generation += 1;
+        self.overlap = false;
         self.entries.clear();
         self.index.clear();
         self.class_counts = [0; PAGE_CLASSES.len()];
@@ -449,6 +497,78 @@ mod tests {
         tlb.flush();
         assert!(tlb.is_empty());
         assert!(tlb.lookup(VirtAddr(0x1000)).is_none());
+    }
+
+    /// Three entries hit in `order`, through `touch` or through
+    /// `lookup`, then two inserts: which of the three survive, and the
+    /// hit count before the inserts.
+    fn survivors(order: &[u64], via_touch: bool) -> (Vec<bool>, u64) {
+        let mut tlb = Tlb::new(3);
+        for va in [0x1000, 0x2000, 0x3000] {
+            tlb.insert(entry(va, va, PageSize::Size4K));
+        }
+        for &va in order {
+            if via_touch {
+                let slot = (va / 0x1000 - 1) as usize;
+                tlb.touch(slot);
+            } else {
+                assert!(tlb.lookup(VirtAddr(va + 0x10)).is_some());
+            }
+        }
+        let hits = tlb.hits();
+        tlb.insert(entry(0x4000, 0x4000, PageSize::Size4K));
+        tlb.insert(entry(0x5000, 0x5000, PageSize::Size4K));
+        let alive = [0x1000, 0x2000, 0x3000]
+            .iter()
+            .map(|&va| {
+                tlb.index
+                    .contains_key(&key_of(VirtAddr(va), PageSize::Size4K))
+            })
+            .collect();
+        (alive, hits)
+    }
+
+    #[test]
+    fn touch_evicts_like_lookup() {
+        for order in [
+            &[0x1000u64, 0x2000][..],
+            &[0x3000, 0x3000, 0x1000],
+            &[0x2000, 0x1000, 0x2000, 0x3000, 0x1000],
+            &[0x1000, 0x1000, 0x1000],
+            &[],
+        ] {
+            assert_eq!(
+                survivors(order, true),
+                survivors(order, false),
+                "touch order {order:x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn mru_entry_names_the_serving_slot() {
+        let mut tlb = Tlb::new(4);
+        assert_eq!(tlb.mru_entry(), None);
+        let a = entry(0x1000, 0x8000, PageSize::Size4K);
+        let b = entry(2 << 20, 4 << 20, PageSize::Size2M);
+        tlb.insert(a);
+        tlb.insert(b);
+        assert_eq!(tlb.mru_entry(), Some((1, b)));
+        tlb.lookup(VirtAddr(0x1234));
+        assert_eq!(tlb.mru_entry(), Some((0, a)));
+    }
+
+    #[test]
+    fn overlapping_sizes_clear_disjoint_until_flush() {
+        let mut tlb = Tlb::new(4);
+        tlb.insert(entry(0x1000, 0x1000, PageSize::Size4K));
+        tlb.insert(entry(2 << 20, 2 << 20, PageSize::Size2M));
+        assert!(tlb.disjoint());
+        // A stale 4 KiB translation inside the 2 MiB page.
+        tlb.insert(entry((2 << 20) + 0x3000, 0x9000, PageSize::Size4K));
+        assert!(!tlb.disjoint());
+        tlb.flush();
+        assert!(tlb.disjoint());
     }
 
     #[test]

@@ -242,6 +242,58 @@ impl PhysMem {
         }
     }
 
+    /// Reads a `bytes`-wide little-endian word (1, 2, 4 or 8 bytes,
+    /// zero-extended) that lies inside one frame: a single frame probe
+    /// and a fixed-width copy. A non-resident frame reads as zero and
+    /// stays unmaterialized. Agrees with [`read_bytes`](Self::read_bytes)
+    /// for every in-frame access; callers route page-spanning accesses
+    /// there instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the word would cross the frame boundary.
+    #[inline]
+    pub fn read_word(&self, addr: PhysAddr, bytes: u64) -> u64 {
+        let o = (addr.as_u64() & (PAGE_SIZE - 1)) as usize;
+        let Some(fr) = self.frame(addr.as_u64() >> PAGE_SHIFT) else {
+            return 0;
+        };
+        match bytes {
+            1 => fr[o] as u64,
+            2 => u16::from_le_bytes(le(&fr[o..o + 2])) as u64,
+            4 => u32::from_le_bytes(le(&fr[o..o + 4])) as u64,
+            _ => {
+                debug_assert_eq!(bytes, 8, "word width");
+                u64::from_le_bytes(le(&fr[o..o + 8]))
+            }
+        }
+    }
+
+    /// Writes the low `bytes` bytes (1, 2, 4 or 8) of `val`, little
+    /// endian, inside one frame: a single frame probe (materializing
+    /// the frame if needed) and a fixed-width copy. Bumps
+    /// [`text_gen`](Self::text_gen) exactly when the frame is watched,
+    /// like [`write_bytes`](Self::write_bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the word would cross the frame boundary.
+    #[inline]
+    pub fn write_word(&mut self, addr: PhysAddr, bytes: u64, val: u64) {
+        let o = (addr.as_u64() & (PAGE_SIZE - 1)) as usize;
+        let fr = self.frame_mut(addr.as_u64() >> PAGE_SHIFT);
+        let b = val.to_le_bytes();
+        match bytes {
+            1 => fr[o] = b[0],
+            2 => fr[o..o + 2].copy_from_slice(&b[..2]),
+            4 => fr[o..o + 4].copy_from_slice(&b[..4]),
+            _ => {
+                debug_assert_eq!(bytes, 8, "word width");
+                fr[o..o + 8].copy_from_slice(&b);
+            }
+        }
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: PhysAddr) -> u8 {
         let mut b = [0u8; 1];
@@ -289,6 +341,12 @@ impl PhysMem {
     pub fn write_u64(&mut self, addr: PhysAddr, v: u64) {
         self.write_bytes(addr, &v.to_le_bytes());
     }
+}
+
+/// Copies a slice whose length the caller fixed into an array.
+#[inline]
+fn le<const N: usize>(b: &[u8]) -> [u8; N] {
+    b.try_into().expect("caller slices exactly N bytes")
 }
 
 #[cfg(test)]
@@ -411,6 +469,56 @@ mod tests {
         let copies = mem.clone_range(PhysAddr(0x3000), 8);
         assert_eq!(copies.len(), 1);
         assert_eq!(mem.read_u64(PhysAddr(0x3000)), 0xBB);
+    }
+
+    #[test]
+    fn word_reads_of_absent_frames_are_zero_and_do_not_materialize() {
+        let mem = PhysMem::new();
+        for bytes in [1, 2, 4, 8] {
+            assert_eq!(mem.read_word(PhysAddr(0x7000 + 3), bytes), 0);
+        }
+        assert_eq!(mem.resident_frames(), 0);
+    }
+
+    #[test]
+    fn word_writes_bump_text_gen_only_on_watched_frames() {
+        let mut mem = PhysMem::new();
+        mem.watch_text(PhysAddr(0x1000));
+        let g0 = mem.text_gen();
+        mem.write_word(PhysAddr(0x2008), 8, 0xAB);
+        assert_eq!(mem.text_gen(), g0, "unwatched frame");
+        mem.write_word(PhysAddr(0x1FFE), 2, 0xCDEF);
+        assert_eq!(mem.text_gen(), g0 + 1, "watched frame");
+        let _ = mem.read_word(PhysAddr(0x1FFE), 2);
+        assert_eq!(mem.text_gen(), g0 + 1, "reads never bump");
+    }
+
+    #[test]
+    fn word_helpers_agree_with_byte_paths() {
+        // Every width at offsets near both frame edges and in between:
+        // the word helpers and the byte loop must see and leave
+        // identical bytes.
+        for bytes in [1u64, 2, 4, 8] {
+            for off in [0, 1, 3, 7, 100, PAGE_SIZE - 8, PAGE_SIZE - bytes] {
+                let addr = PhysAddr(0x3000 + off);
+                let val = 0x8877_6655_4433_2211u64.rotate_left(off as u32);
+                let mut a = PhysMem::new();
+                let mut b = PhysMem::new();
+                a.fill(PhysAddr(0x3000), PAGE_SIZE, 0x5A);
+                b.fill(PhysAddr(0x3000), PAGE_SIZE, 0x5A);
+                a.write_word(addr, bytes, val);
+                b.write_bytes(addr, &val.to_le_bytes()[..bytes as usize]);
+                let mut fa = vec![0u8; PAGE_SIZE as usize];
+                let mut fb = vec![0u8; PAGE_SIZE as usize];
+                a.read_bytes(PhysAddr(0x3000), &mut fa);
+                b.read_bytes(PhysAddr(0x3000), &mut fb);
+                assert_eq!(fa, fb, "write width {bytes} at {off}");
+                let mut back = [0u8; 8];
+                b.read_bytes(addr, &mut back[..bytes as usize]);
+                assert_eq!(a.read_word(addr, bytes), u64::from_le_bytes(back));
+                assert_eq!(a.read_word(addr, bytes), b.read_word(addr, bytes));
+            }
+        }
     }
 
     #[test]

@@ -205,6 +205,23 @@ impl SystemMap {
         }
     }
 
+    /// The one mapped region holding every byte of `[start, start +
+    /// len)`, or `None` when the range is empty, touches an unmapped
+    /// address or straddles a region boundary. Lets a caller classify a
+    /// whole page once instead of each access into it.
+    pub fn uniform_region(&self, start: PhysAddr, len: u64) -> Option<Region> {
+        let end = start.as_u64().checked_add(len)?;
+        let region = self.classify(start);
+        let (lo, hi) = match region {
+            Region::HostDram => (0, self.host_dram_size),
+            Region::NxpDram => window_bounds(&self.bar0),
+            Region::NxpSram => window_bounds(&self.bar1),
+            Region::NxpMmio => window_bounds(&self.bar2),
+            Region::Unmapped => return None,
+        };
+        (len > 0 && start.as_u64() >= lo && end <= hi).then_some(region)
+    }
+
     /// Applies the NxP TLB remap: rewrites a host-view physical address
     /// into the NxP-local bus address (identity for host DRAM, window
     /// translation for BAR regions).
@@ -247,6 +264,10 @@ impl SystemMap {
     }
 }
 
+fn window_bounds(w: &RemapWindow) -> (u64, u64) {
+    (w.host_base.as_u64(), w.host_base.as_u64() + w.size)
+}
+
 impl Default for SystemMap {
     fn default() -> Self {
         SystemMap::paper_default()
@@ -268,6 +289,29 @@ mod tests {
         assert_eq!(m.classify(PhysAddr(0x1_FFFF_FFFF)), Region::NxpDram);
         assert_eq!(m.classify(PhysAddr(0x2_0000_0000)), Region::Unmapped);
         assert_eq!(m.classify(PhysAddr(0x8800_0000)), Region::Unmapped);
+    }
+
+    #[test]
+    fn uniform_region_covers_whole_pages_only() {
+        let m = SystemMap::paper_default();
+        let gib = 1 << 30;
+        assert_eq!(m.uniform_region(PhysAddr(0), gib), Some(Region::HostDram));
+        assert_eq!(
+            m.uniform_region(PhysAddr(0x1_4000_0000), gib),
+            Some(Region::NxpDram)
+        );
+        assert_eq!(
+            m.uniform_region(PhysAddr(0x9000_0000), 2 << 20),
+            Some(Region::NxpSram)
+        );
+        // Straddles host DRAM's end, the SRAM/MMIO BARs and the holes
+        // between them.
+        assert_eq!(m.uniform_region(PhysAddr(0x4000_0000), 2 * gib), None);
+        assert_eq!(m.uniform_region(PhysAddr(0x8000_0000), gib), None);
+        assert_eq!(m.uniform_region(PhysAddr(0x9100_0000), 2 << 20), None);
+        assert_eq!(m.uniform_region(PhysAddr(0x2_0000_0000), 4096), None);
+        assert_eq!(m.uniform_region(PhysAddr(0x1000), 0), None);
+        assert_eq!(m.uniform_region(PhysAddr(u64::MAX - 10), 4096), None);
     }
 
     #[test]

@@ -156,6 +156,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nblock-lane chaining (host-side): {} hits, {} patches, {} breaks, {} fallback steps",
         ch.chain_hits, ch.chain_patches, ch.chain_breaks, ch.block_fallback_steps
     );
+    println!(
+        "data memo (host-side): {} hits, {} misses",
+        ch.data_memo_hits, ch.data_memo_misses
+    );
     println!("\nall {procs} processes done at {}", m.host_now());
     println!("(re-run with different core counts to watch the finish time move)");
     Ok(())

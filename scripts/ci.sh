@@ -22,9 +22,18 @@ cargo run --release -p flick-bench --bin bench_gate -- BENCH_simulator.json "$tm
 # Block-lane differential smoke: the chaining suite proves step vs
 # block vs chained engines bit-identical (timing, stats, faults) in
 # release across all three ISAs, every fuel cutoff, SMC rewriting a
-# chained successor mid-loop, and CR3 reloads between quanta.
+# chained successor mid-loop, CR3 reloads between quanta, and the data
+# memo over mixed page sizes, holes and protect; the fast-path suite
+# proves the same through the whole machine, chaos seeds included.
 cargo test -q --release --test blocks
-echo "block chaining differential: ok"
+cargo test -q --release --test fastpath
+echo "block chaining and fast-path differentials: ok"
+
+# The benchmark of record is a workspace of its own (benchmark/), so
+# the workspace-wide test and clippy runs above do not reach it.
+cargo test -q --release --locked --manifest-path benchmark/Cargo.toml
+cargo clippy --locked --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+echo "benchmark crate: tests and clippy ok"
 
 # Topology x threads smoke matrix: every worker count must carry every
 # topology's concurrent workload to completion, including a 3-ISA

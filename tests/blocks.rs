@@ -10,18 +10,20 @@
 //! random programs, at every fuel cutoff, across faults raised
 //! mid-block, self-modifying text (including text a live chain points
 //! at), page-spanning instructions and TLB/CR3 invalidations, on all
-//! three ISAs.
+//! three ISAs. The block lane's data memo is held to the same bar over
+//! a window of 4 KiB, 2 MiB and 1 GiB pages, through D-TLB eviction,
+//! page-spanning accesses, `protect`, MMU holes and stores into text.
 //!
 //! Cases are generated from the repo's own deterministic [`Xoshiro256`]
 //! so every run explores the same inputs — a failure reproduces by
 //! rerunning the test, no external shrinker required. (The machine-level
 //! twin of this suite lives in `tests/fastpath.rs`.)
 
-use flick_cpu::{Core, CoreConfig, CoreCounters, MemEnv, StopReason};
+use flick_cpu::{Core, CoreConfig, CoreCounters, Exception, MemEnv, MmuHole, StopReason};
 use flick_isa::inst::AluOp;
 use flick_isa::{abi, FuncBuilder, Inst, Isa, MemSize, Reg, TargetIsa};
 use flick_mem::{PhysAddr, PhysMem, VirtAddr};
-use flick_paging::{flags, AddressSpace, BumpFrameAlloc};
+use flick_paging::{flags, AddressSpace, BumpFrameAlloc, PageSize};
 use flick_sim::{Picos, Xoshiro256};
 
 const TEXT: u64 = 0x40_0000;
@@ -519,5 +521,360 @@ fn flush_and_cr3_reload_between_quanta_identical() {
             );
         }
         assert_eq!(snap_step.stop, StopReason::Halt);
+    }
+}
+
+/// Data window for the memo differential: 4 KiB pages from the identity
+/// map (host DRAM), one 2 MiB page (host DRAM) and one 1 GiB page (NxP
+/// DRAM, uncacheable for either core).
+const SMALL: u64 = 0x60_0000;
+const HUGE_2M: u64 = 0x8000_0000;
+const HUGE_1G: u64 = 0x40_0000_0000;
+/// Loop trips: each walks [`SMALL`] one 4 KiB page further, so the NxP
+/// core's 16-entry D-TLB must evict while the huge-page entries stay hot.
+const WINDOW_TRIPS: i64 = 24;
+
+/// [`fixture`] plus the huge pages of the data window, seeded with
+/// distinct nonzero bytes.
+fn window_fixture(target: TargetIsa, bytes: &[u8]) -> (PhysMem, PhysAddr) {
+    let (mut mem, cr3) = fixture(target, bytes);
+    let mut asp = AddressSpace::from_cr3(cr3);
+    let mut alloc = BumpFrameAlloc::new(PhysAddr(0x300_0000), PhysAddr(0x380_0000));
+    let rw = flags::PRESENT | flags::WRITABLE | flags::USER;
+    for (va, pa, page) in [
+        (HUGE_2M, 0x400_0000, PageSize::Size2M),
+        (HUGE_1G, 0x1_0000_0000, PageSize::Size1G),
+    ] {
+        asp.map(&mut mem, &mut alloc, VirtAddr(va), PhysAddr(pa), page, rw)
+            .unwrap();
+        mem.write_bytes(PhysAddr(pa), &pattern(0x2000, pa));
+    }
+    mem.write_bytes(PhysAddr(SMALL - 0x1000), &pattern(0x20000, 0x5151));
+    (mem, cr3)
+}
+
+/// `len` bytes of a deterministic nonzero pattern keyed by `seed`.
+fn pattern(len: usize, seed: u64) -> Vec<u8> {
+    (0..len as u64)
+        .map(|k| (k.wrapping_mul(0x9E37_79B9) ^ seed ^ (k >> 8)) as u8 | 1)
+        .collect()
+}
+
+/// A loop over the data window: alternating loads across the three page
+/// sizes (so memo hits land on non-MRU D-TLB slots), a fresh 4 KiB page
+/// per trip (so the NxP D-TLB evicts), loads and stores that span a
+/// frame inside the 2 MiB page and a 4 KiB page boundary, a store into
+/// the program's own (watched) text frame, and a store to the 2 MiB
+/// page that `protect` later makes read-only.
+fn window_program(target: TargetIsa) -> Vec<u8> {
+    let mut f = FuncBuilder::new("t", target);
+    let lp = f.new_label();
+    f.li(abi::S1, WINDOW_TRIPS);
+    f.li(abi::S2, SMALL as i64);
+    f.li(abi::S3, (HUGE_2M + 0x100) as i64);
+    f.li(abi::S4, (HUGE_1G + 0x2340) as i64);
+    f.li(abi::S5, (TEXT + 0xF00) as i64);
+    f.bind(lp);
+    f.ld(abi::T0, abi::S2, 0, MemSize::B8);
+    f.ld(abi::T1, abi::S3, 0, MemSize::B4);
+    f.ld(abi::T2, abi::S4, 8, MemSize::B8);
+    f.add(abi::A0, abi::A0, abi::T0);
+    f.add(abi::A0, abi::A0, abi::T1);
+    f.add(abi::A0, abi::A0, abi::T2);
+    f.st(abi::A0, abi::S3, 16, MemSize::B8);
+    f.ld(abi::T0, abi::S2, -8, MemSize::B8);
+    f.st(abi::A0, abi::S2, 0xFFE, MemSize::B4);
+    f.ld(abi::T1, abi::S3, 0xFFC - 0x100, MemSize::B8);
+    f.st(abi::T0, abi::S3, 0x1FFA - 0x100, MemSize::B8);
+    f.st(abi::S1, abi::S5, 0, MemSize::B4);
+    f.ld(abi::T2, abi::S4, 0, MemSize::B2);
+    f.xor(abi::A1, abi::A1, abi::T1);
+    f.xor(abi::A1, abi::A1, abi::T2);
+    f.addi(abi::S2, abi::S2, 0x1000);
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::ZERO, lp);
+    f.halt();
+    isa_of(target).encode(&f.finish()).unwrap().bytes
+}
+
+/// Runs the window program on every engine at every fuel cutoff: memo
+/// hits must replay D-TLB LRU order, D-cache state and timing exactly.
+#[test]
+fn data_memo_window_identical_at_every_fuel_cutoff() {
+    for target in [TargetIsa::Host, TargetIsa::Nxp] {
+        let bytes = window_program(target);
+        let env = MemEnv::paper_default();
+        let mut memo_hits = 0;
+        let mut full = None;
+        for fuel in (0..=440).chain([u64::MAX]) {
+            let mut snaps = Vec::new();
+            for engine in ENGINES {
+                let (mut mem, cr3) = window_fixture(target, &bytes);
+                let mut core = core_for(target, engine, cr3);
+                let stop = core.run(&mut mem, &env, fuel);
+                memo_hits += core.chain_counters().data_memo_hits;
+                snaps.push(snap(stop, &core));
+            }
+            let step = snaps.pop().unwrap();
+            for s in snaps {
+                assert_eq!(s, step, "{target:?}: data window diverged at fuel {fuel}");
+            }
+            full = Some(step);
+        }
+        let full = full.unwrap();
+        assert_eq!(full.stop, StopReason::Halt, "{target:?}");
+        assert!(memo_hits > 0, "{target:?}: the memo never served an access");
+        assert!(
+            full.counters.dtlb_misses > WINDOW_TRIPS as u64,
+            "{target:?}: every trip walks a fresh page"
+        );
+    }
+}
+
+/// Two straight-line phases on the NxP core's 16-entry D-TLB.
+///
+/// 1. Page X is memoized, page Y refreshed through a lookup, then X hit
+///    again through the memo while Y is the MRU slot. Only if that hit
+///    replays the LRU stamp is Y, not X, the victim when fourteen fresh
+///    pages fill the TLB and a seventeenth evicts — so the reloads of X
+///    and Y miss exactly once between them.
+/// 2. Page Z is memoized, then sixteen fresh pages are walked by
+///    frame-spanning loads (which never install memo entries), the last
+///    evicting Z's slot. The reload of Z must miss: a memo entry never
+///    outlives the D-TLB generation it was taken under.
+///
+/// Every engine agrees at every fuel cutoff.
+#[test]
+fn data_memo_hits_replay_dtlb_lru_order() {
+    let page = |k: i32| k * 0x1000;
+    for target in [TargetIsa::Host, TargetIsa::Nxp] {
+        let mut f = FuncBuilder::new("t", target);
+        f.li(abi::S2, SMALL as i64);
+        for k in [0, 1, 0, 1] {
+            f.ld(abi::T0, abi::S2, page(k) + 8, MemSize::B8);
+        }
+        for k in 2..=16 {
+            f.ld(abi::T1, abi::S2, page(k), MemSize::B8);
+        }
+        f.ld(abi::T2, abi::S2, page(1), MemSize::B8);
+        f.ld(abi::T2, abi::S2, page(0), MemSize::B8);
+        f.ld(abi::T0, abi::S2, page(20), MemSize::B8);
+        for j in 0..8 {
+            f.ld(abi::T1, abi::S2, page(22 + 3 * j) - 4, MemSize::B8);
+        }
+        f.ld(abi::T0, abi::S2, page(20) + 16, MemSize::B8);
+        f.halt();
+        let bytes = isa_of(target).encode(&f.finish()).unwrap().bytes;
+        for fuel in 0..=36 {
+            diff_run(target, &bytes, fuel, "memo LRU");
+        }
+        let full = diff_run(target, &bytes, 100, "memo LRU full");
+        assert_eq!(full.stop, StopReason::Halt);
+        // 17 + 17 cold pages; on the NxP also the capacity misses of Y
+        // and Z.
+        let reload_misses = if target == TargetIsa::Nxp { 2 } else { 0 };
+        assert_eq!(full.counters.dtlb_misses, 34 + reload_misses, "{target:?}");
+    }
+}
+
+/// Stale TLB entries of two sizes covering one address: a 4 KiB
+/// translation cached before the page tables remapped its 2 MiB region
+/// as one huge page (with no shootdown), then the huge page walked in.
+/// `lookup` now answers from whichever entry its MRU check or
+/// smallest-first class scan reaches, so the memo must stay out of the
+/// way — on every engine and fuel cutoff the loads see the same mix of
+/// old and new frames.
+#[test]
+fn data_memo_defers_to_stale_mixed_size_tlb_entries() {
+    const V: u64 = 0x7000_0000;
+    const OLD_PA: u64 = 0x500_0000;
+    const NEW_PA: u64 = 0x600_0000;
+    for target in [TargetIsa::Host, TargetIsa::Nxp] {
+        let mut f = FuncBuilder::new("t", target);
+        f.li(abi::S2, V as i64);
+        f.li(abi::S3, SMALL as i64);
+        f.ld(abi::T0, abi::S2, 0x1000, MemSize::B8);
+        f.ld(abi::A2, abi::S3, 0, MemSize::B8);
+        f.ecall(1);
+        f.ld(abi::T1, abi::S2, 0x5000, MemSize::B8);
+        f.ld(abi::T2, abi::S2, 0x1008, MemSize::B8);
+        f.ld(abi::A2, abi::S3, 0, MemSize::B8);
+        f.ld(abi::A3, abi::S2, 0x1010, MemSize::B8);
+        f.ld(abi::A4, abi::S2, 0x5008, MemSize::B8);
+        f.ld(abi::A5, abi::S2, 0x1018, MemSize::B8);
+        f.halt();
+        let bytes = isa_of(target).encode(&f.finish()).unwrap().bytes;
+        let env = MemEnv::paper_default();
+        for fuel in 0..=8 {
+            let mut snaps = Vec::new();
+            for engine in ENGINES {
+                let (mut mem, cr3) = fixture(target, &bytes);
+                let mut alloc = BumpFrameAlloc::new(PhysAddr(0x300_0000), PhysAddr(0x380_0000));
+                let rw = flags::PRESENT | flags::WRITABLE | flags::USER;
+                AddressSpace::from_cr3(cr3)
+                    .map_range(
+                        &mut mem,
+                        &mut alloc,
+                        VirtAddr(V),
+                        PhysAddr(OLD_PA),
+                        2 << 20,
+                        rw,
+                    )
+                    .unwrap();
+                mem.write_bytes(PhysAddr(OLD_PA), &pattern(0x6000, 1));
+                mem.write_bytes(PhysAddr(NEW_PA), &pattern(0x6000, 2));
+                let mut core = core_for(target, engine, cr3);
+                assert_eq!(core.run(&mut mem, &env, 20), StopReason::Ecall(1));
+                // Turn the PD entry for V into a 2 MiB leaf, no shootdown.
+                let mut table = cr3.as_u64();
+                for level in [3, 2] {
+                    let slot = table + VirtAddr(V).pt_index(level) as u64 * 8;
+                    table = mem.read_u64(PhysAddr(slot)) & 0x000F_FFFF_FFFF_F000;
+                }
+                let pde = table + VirtAddr(V).pt_index(1) as u64 * 8;
+                mem.write_u64(PhysAddr(pde), NEW_PA | rw | flags::HUGE);
+                let stop = core.run(&mut mem, &env, fuel);
+                snaps.push(snap(stop, &core));
+            }
+            let step = snaps.pop().unwrap();
+            for s in snaps {
+                assert_eq!(s, step, "{target:?}: stale mixed sizes at fuel {fuel}");
+            }
+            if fuel == 8 {
+                let old = |off: usize| {
+                    u64::from_le_bytes(pattern(0x6000, 1)[off..off + 8].try_into().unwrap())
+                };
+                let new = |off: usize| {
+                    u64::from_le_bytes(pattern(0x6000, 2)[off..off + 8].try_into().unwrap())
+                };
+                assert_eq!(step.stop, StopReason::Halt);
+                assert_eq!(step.regs[abi::T1.0 as usize], new(0x5000));
+                assert_eq!(step.regs[abi::T2.0 as usize], new(0x1008), "MRU check");
+                assert_eq!(step.regs[abi::A3.0 as usize], old(0x1010), "class scan");
+                assert_eq!(step.regs[abi::A5.0 as usize], new(0x1018), "MRU again");
+            }
+        }
+    }
+}
+
+/// A 2 MiB page whose frame starts at the 64 KiB NxP MMIO window and
+/// runs on into unmapped physical space: the first load reaches the
+/// registers, the next one past the window must fault on every engine —
+/// the memo only caches pages that lie whole in one mapped region.
+#[test]
+fn data_memo_skips_pages_straddling_regions() {
+    const W: u64 = 0x7000_0000;
+    for target in [TargetIsa::Host, TargetIsa::Nxp] {
+        let mut f = FuncBuilder::new("t", target);
+        f.li(abi::S2, W as i64);
+        f.ld(abi::T0, abi::S2, 0x40, MemSize::B8);
+        f.ld(abi::T1, abi::S2, 0x80, MemSize::B4);
+        f.ld(abi::T2, abi::S2, 0x1_0000, MemSize::B8);
+        f.halt();
+        let bytes = isa_of(target).encode(&f.finish()).unwrap().bytes;
+        let env = MemEnv::paper_default();
+        for fuel in 0..=6 {
+            let mut snaps = Vec::new();
+            for engine in ENGINES {
+                let (mut mem, cr3) = fixture(target, &bytes);
+                let mut alloc = BumpFrameAlloc::new(PhysAddr(0x300_0000), PhysAddr(0x380_0000));
+                let rw = flags::PRESENT | flags::WRITABLE | flags::USER;
+                AddressSpace::from_cr3(cr3)
+                    .map(
+                        &mut mem,
+                        &mut alloc,
+                        VirtAddr(W),
+                        PhysAddr(0x9100_0000),
+                        PageSize::Size2M,
+                        rw,
+                    )
+                    .unwrap();
+                let mut core = core_for(target, engine, cr3);
+                let stop = core.run(&mut mem, &env, fuel);
+                snaps.push(snap(stop, &core));
+            }
+            let step = snaps.pop().unwrap();
+            for s in snaps {
+                assert_eq!(s, step, "{target:?}: straddling page at fuel {fuel}");
+            }
+            if fuel == 6 {
+                assert_eq!(
+                    step.stop,
+                    StopReason::Fault(Exception::DataFault {
+                        va: VirtAddr(W + 0x1_0000),
+                        write: false,
+                    })
+                );
+            }
+        }
+    }
+}
+
+/// The window program in quanta of every size from 1 to 45
+/// instructions, with what the memo caches changed between quanta: the
+/// latency model (odd quanta run under a slower one), then an MMU hole
+/// laid over the memoized 1 GiB page (holes shadow the TLB, so its
+/// loads must now read the hole's frame), then the 2 MiB page
+/// `protect`ed read-only with the shootdown an OS would issue (the next
+/// store to it, memoized as writable, must fault).
+#[test]
+fn data_memo_coherent_across_env_hole_and_protect_between_quanta() {
+    let mut slow = MemEnv::paper_default();
+    slow.latency.host_to_host_dram = Picos::from_nanos(140);
+    slow.latency.host_to_nxp_read = Picos::from_nanos(990);
+    slow.latency.nxp_to_local_dram = Picos::from_nanos(410);
+    slow.latency.nxp_to_host_write = Picos::from_nanos(333);
+    let envs = [MemEnv::paper_default(), slow];
+    for target in [TargetIsa::Host, TargetIsa::Nxp] {
+        let bytes = window_program(target);
+        for quantum in 1..=45u64 {
+            let mut runs = Vec::new();
+            for engine in ENGINES {
+                let (mut mem, cr3) = window_fixture(target, &bytes);
+                let mut core = core_for(target, engine, cr3);
+                let mut stops = Vec::new();
+                let mut retired = 0;
+                let (mut holed, mut protected) = (false, false);
+                loop {
+                    let env = &envs[stops.len() % 2];
+                    let stop = core.run(&mut mem, env, quantum);
+                    stops.push(stop);
+                    if stop != StopReason::OutOfFuel {
+                        break;
+                    }
+                    retired += quantum;
+                    if retired >= 60 && !holed {
+                        holed = true;
+                        core.add_hole(MmuHole {
+                            va_base: VirtAddr(HUGE_1G),
+                            size: 1 << 20,
+                            pa_base: PhysAddr(0x9000_0000),
+                            executable: false,
+                        });
+                    }
+                    if retired >= 150 && !protected {
+                        protected = true;
+                        AddressSpace::from_cr3(cr3)
+                            .protect(&mut mem, VirtAddr(HUGE_2M), 2 << 20, 0, flags::WRITABLE)
+                            .unwrap();
+                        core.flush_tlbs();
+                    }
+                }
+                runs.push((snap(*stops.last().unwrap(), &core), stops));
+            }
+            let (step, step_stops) = runs.pop().unwrap();
+            for (s, stops) in runs {
+                assert_eq!(stops, step_stops, "{target:?} quantum {quantum}: stops");
+                assert_eq!(s, step, "{target:?} quantum {quantum}: state");
+            }
+            assert!(
+                matches!(
+                    step.stop,
+                    StopReason::Fault(Exception::DataFault { write: true, .. })
+                ),
+                "{target:?} quantum {quantum}: store to the protected page must fault, got {:?}",
+                step.stop
+            );
+        }
     }
 }
