@@ -12,12 +12,6 @@
 //!   fleet with one NxP crashed mid-run). A 1-sample smoke run is
 //!   noisy, so the threshold is generous (30%): this catches "the fast
 //!   path fell off a cliff", not 2% drift.
-//! - **Parallel host execution** (`par_mean_ns`): gated with the same
-//!   threshold, but only when both the baseline recorder and the
-//!   current runner have more than one core (`host_parallelism` in the
-//!   JSON / `available_parallelism()` here) — a 1-core container runs
-//!   the sharded fleet slower than sequential by construction, and
-//!   that is not a regression.
 //! - **ISA matrix** (`sim_round_trip_ns`): the `fig_isa_matrix_*`
 //!   family reports *simulated* migration round-trip cost per ordered
 //!   ISA pair. Simulated time is deterministic, so these are compared
@@ -76,13 +70,6 @@ fn bench_field(json: &str, name: &str, field: &str) -> Option<u64> {
     field_in(line, field)
 }
 
-/// Extracts a top-level numeric field (e.g. `host_parallelism`).
-fn top_field(json: &str, field: &str) -> Option<u64> {
-    json.lines()
-        .find(|l| !l.contains("\"name\":") && l.contains(&format!("\"{field}\":")))
-        .and_then(|l| field_in(l, field))
-}
-
 fn field_in(line: &str, field: &str) -> Option<u64> {
     let rest = line.split(&format!("\"{field}\": ")).nth(1)?;
     let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
@@ -120,38 +107,6 @@ fn main() -> ExitCode {
         println!(
             "bench_gate: {name}: baseline {base}ns, current {cur}ns ({:+.1}%) {verdict}",
             (ratio - 1.0) * 100.0
-        );
-    }
-
-    // Parallel host execution: only meaningful when both the recorder
-    // and this runner actually have cores to shard across.
-    let here = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    let recorded = top_field(&baseline, "host_parallelism").unwrap_or(1);
-    if here > 1 && recorded > 1 {
-        for name in GATED {
-            let (Some(base), Some(cur)) = (
-                bench_field(&baseline, name, "par_mean_ns"),
-                bench_field(&current, name, "par_mean_ns"),
-            ) else {
-                continue;
-            };
-            let ratio = cur as f64 / base as f64;
-            let verdict = if ratio > 1.0 + MAX_REGRESSION {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "bench_gate: {name} (parallel): baseline {base}ns, current {cur}ns \
-                 ({:+.1}%) {verdict}",
-                (ratio - 1.0) * 100.0
-            );
-        }
-    } else {
-        println!(
-            "bench_gate: parallel fields not gated (runner has {here} core(s), \
-             baseline recorded on {recorded})"
         );
     }
 
@@ -229,15 +184,14 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{bench_field, mean_ns, top_field};
+    use super::{bench_field, mean_ns};
 
     const SAMPLE: &str = r#"{
   "samples": 1,
-  "host_parallelism": 4,
   "benches": [
     {"name": "interpret_100k_instructions", "mean_ns": 1198760, "best_ns": 1031501},
     {"name": "interpret", "mean_ns": 1127794, "best_ns": 1049135},
-    {"name": "migration_throughput_1nxp", "mean_ns": 8400840, "best_ns": 6940299, "par_mean_ns": 9000000},
+    {"name": "migration_throughput_1nxp", "mean_ns": 8400840, "best_ns": 6940299},
     {"name": "fig_isa_matrix_rv64_arm64", "mean_ns": 120000, "best_ns": 110000, "sim_round_trip_ns": 41250},
     {"name": "fig_tail_latency_100k", "mean_ns": 17000000, "best_ns": 16000000, "offered_rps": 100000, "goodput_rps": 65852, "p50_ns": 943156, "p99_ns": 2742964, "p999_ns": 2965975, "admission_rejects": 181}
   ]
@@ -252,16 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn extracts_named_and_top_level_fields() {
+    fn extracts_named_fields() {
         assert_eq!(
             bench_field(SAMPLE, "fig_isa_matrix_rv64_arm64", "sim_round_trip_ns"),
             Some(41250)
         );
-        assert_eq!(
-            bench_field(SAMPLE, "migration_throughput_1nxp", "par_mean_ns"),
-            Some(9000000)
-        );
-        assert_eq!(bench_field(SAMPLE, "interpret", "par_mean_ns"), None);
+        assert_eq!(bench_field(SAMPLE, "interpret", "sim_round_trip_ns"), None);
         assert_eq!(
             bench_field(SAMPLE, "fig_tail_latency_100k", "goodput_rps"),
             Some(65852)
@@ -274,8 +224,5 @@ mod tests {
             bench_field(SAMPLE, "fig_tail_latency_100k", "admission_rejects"),
             Some(181)
         );
-        assert_eq!(top_field(SAMPLE, "host_parallelism"), Some(4));
-        assert_eq!(top_field(SAMPLE, "samples"), Some(1));
-        assert_eq!(top_field(SAMPLE, "absent"), None);
     }
 }

@@ -75,13 +75,6 @@ pub struct TaskStruct {
     pub host_brk: VirtAddr,
     /// Bump pointer for this process's NxP-DRAM heap.
     pub nxp_brk: VirtAddr,
-    /// **Parallel-engine field**: every physical frame range this
-    /// process's address space owns (page tables, descriptor page, host
-    /// stack, segments, heap pages). Recorded as bump-allocator
-    /// watermark deltas at each allocation site, so the parallel
-    /// migration engine can detach exactly this process's memory into a
-    /// leg-private store and re-adopt it at join time.
-    pub frame_ranges: Vec<(PhysAddr, u64)>,
 }
 
 impl TaskStruct {
@@ -102,25 +95,7 @@ impl TaskStruct {
             exit_code: 0,
             host_brk: VirtAddr(flick_toolchain::layout::HOST_HEAP_BASE),
             nxp_brk: VirtAddr::NULL,
-            frame_ranges: Vec::new(),
         }
-    }
-
-    /// Records a frame range delimited by bump-allocator watermarks
-    /// taken before and after an allocation on this task's behalf.
-    /// Adjacent ranges coalesce so `frame_ranges` stays short.
-    pub fn record_frames(&mut self, from: PhysAddr, to: PhysAddr) {
-        if to <= from {
-            return;
-        }
-        let len = to - from;
-        if let Some(last) = self.frame_ranges.last_mut() {
-            if last.0.as_u64() + last.1 == from.as_u64() {
-                last.1 += len;
-                return;
-            }
-        }
-        self.frame_ranges.push((from, len));
     }
 
     /// True when the thread has migrated before (its NxP stack exists).

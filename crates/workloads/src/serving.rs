@@ -16,12 +16,12 @@
 //!   the arm64 accelerator slots of a heterogeneous fleet.
 //!
 //! All three kernels are *read-only* in the NxP DRAM window and return
-//! their result in `A0` (the request's exit code). That is a hard
-//! requirement, not a style choice: the pipelined engine ships each
-//! leg a private copy of the window and adopts it back at join, so
-//! concurrent legs writing the shared window would make the adopted
-//! bytes depend on join order. Read-only kernels keep the serving
-//! timeline bit-identical for any worker-thread count.
+//! their result in `A0` (the request's exit code). Every tenant reads
+//! the same staged data set at the same addresses, so a kernel that
+//! wrote it would make one request's result depend on which requests
+//! of other tenants ran before it. Read-only kernels keep each
+//! request's result a function of its own argument alone, whatever the
+//! load, placement or interleaving.
 //!
 //! Arrivals come from a seeded open-loop generator — Poisson or a
 //! 2-state MMPP (bursty) — so a load sweep replays bit-identically at
@@ -113,8 +113,6 @@ pub struct ServingScenario {
     pub topology: Topology,
     /// Per-slot NxP ISAs (slots past the end default to rv64).
     pub nxp_isas: Vec<IsaId>,
-    /// OS worker threads for NxP leg execution.
-    pub threads: usize,
     /// Placement policy for fresh host→NxP calls.
     pub placement: NxpPlacement,
     /// Preemption quantum in instructions.
@@ -143,7 +141,6 @@ impl Default for ServingScenario {
                 nxp_cores: 4,
             },
             nxp_isas: vec![IsaId::Rv64, IsaId::Arm64, IsaId::Rv64, IsaId::Arm64],
-            threads: 1,
             placement: NxpPlacement::RoundRobin,
             quantum: 50_000,
             ring_admission: true,
@@ -331,8 +328,8 @@ fn serving_program() -> ProgramBuilder {
 /// identical offsets, so allocating the same sizes in the same order
 /// gives every tenant the same virtual addresses over the same bytes —
 /// tenant 0 writes them once, everyone reads them. Advancing each
-/// tenant's heap cursor over the data set also keeps it inside the
-/// resident window slice the pipelined engine ships to legs.
+/// tenant's heap cursor over the data set also keeps the tenant's own
+/// later NxP heap allocations off the shared bytes.
 fn stage_dataset(m: &mut Machine, tenants: &[u64], seed: u64) -> Result<(), RunError> {
     let mut slab = VirtAddr(0);
     let mut table = VirtAddr(0);
@@ -421,7 +418,6 @@ pub fn build_serving_fleet(cfg: &ServingScenario) -> Result<(Machine, Vec<u64>),
         .topology(cfg.topology)
         .nxp_isas(cfg.nxp_isas.clone())
         .nxp_placement(cfg.placement)
-        .threads(cfg.threads)
         .observability(cfg.observability)
         .ring_occupancy_admission(cfg.ring_admission)
         .kernel_config(flick_os::KernelConfig {

@@ -9,9 +9,7 @@
 //! counters, and the failure-domain slice of the timeline.
 //!
 //! Run with: `cargo run --release --example failover -- 7`
-//! (the argument is the chaos seed, default 7; add `--threads N` or
-//! `--threads auto` to shard host execution across OS worker threads —
-//! recovery stays bit-identical regardless of the worker count)
+//! (the argument is the chaos seed, default 7)
 
 use flick::{Machine, Topology};
 use flick_isa::{abi, FuncBuilder, TargetIsa};
@@ -56,16 +54,12 @@ type ExitCodes = Vec<(u64, u64)>;
 
 fn run(
     topo: Topology,
-    threads: usize,
     plan: Option<FaultPlan>,
 ) -> Result<(Machine, ExitCodes), Box<dyn std::error::Error>> {
-    let mut b = Machine::builder()
-        .topology(topo)
-        .threads(threads)
-        .trace(TraceConfig {
-            enabled: true,
-            capacity: 1 << 20,
-        });
+    let mut b = Machine::builder().topology(topo).trace(TraceConfig {
+        enabled: true,
+        capacity: 1 << 20,
+    });
     if let Some(plan) = plan {
         b = b.fault_plan(plan);
     }
@@ -81,22 +75,16 @@ fn run(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut seed: u64 = 7;
-    let mut threads = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let v = args.next().ok_or("--threads needs a value (N or auto)")?;
-            threads = if v == "auto" { 0 } else { v.parse()? };
-        } else {
-            seed = a.parse()?;
-        }
-    }
+    let seed: u64 = std::env::args()
+        .nth(1)
+        .map(|a| a.parse())
+        .transpose()?
+        .unwrap_or(7);
     let topo = Topology::new(2, 3);
 
     // Fault-free twin first: its finish time bounds the chaos horizon
     // and its exit codes are the bar the chaos run must clear.
-    let (clean_m, clean) = run(topo, threads, None)?;
+    let (clean_m, clean) = run(topo, None)?;
     let horizon = clean_m.host_now();
 
     let events = FaultPlan::device_chaos(seed, 3, horizon);
@@ -108,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let plan = FaultPlan::chaos(seed).with_device_events(events);
-    let (m, codes) = run(topo, threads, Some(plan))?;
+    let (m, codes) = run(topo, Some(plan))?;
 
     println!("\nresults (vs fault-free twin):");
     for ((pid, code), (_, want)) in codes.iter().zip(clean.iter()) {

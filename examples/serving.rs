@@ -12,8 +12,6 @@
 //! - `--requests N` — open-loop schedule length (default 400)
 //! - `--rps F` — offered load, requests/simulated-second (default
 //!   100000 — just past the knee)
-//! - `--threads N` — OS worker threads (default 1; the simulated
-//!   result is bit-identical at any value)
 //! - `--seed N` — schedule / layout seed (default scenario seed)
 //! - `--sweep` — run the whole load sweep 25k..400k and print the
 //!   saturation table instead of a single point
@@ -63,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--tenants" => cfg.tenants = val("--tenants")?.parse()?,
             "--requests" => cfg.requests = val("--requests")?.parse()?,
             "--rps" => cfg.offered_rps = val("--rps")?.parse()?,
-            "--threads" => cfg.threads = val("--threads")?.parse()?,
             "--seed" => cfg.seed = val("--seed")?.parse()?,
             "--sweep" => sweep = true,
             "--timeline" => timeline = Some(val("--timeline")?),
@@ -73,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if sweep {
         println!(
-            "load sweep: {} tenants, {} requests/point, {} fleet, threads={}",
-            cfg.tenants, cfg.requests, cfg.topology, cfg.threads
+            "load sweep: {} tenants, {} requests/point, {} fleet",
+            cfg.tenants, cfg.requests, cfg.topology
         );
         for rps in [25_000.0, 50_000.0, 100_000.0, 200_000.0, 400_000.0] {
             let point = ServingScenario {
@@ -93,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reqs = gen_requests(&cfg);
     let report = m.run_serving(&tenants, &reqs, u64::MAX, cfg.quantum)?;
     println!(
-        "{} tenants on {} ({} threads), {} open-loop requests:",
-        cfg.tenants, cfg.topology, cfg.threads, cfg.requests
+        "{} tenants on {}, {} open-loop requests:",
+        cfg.tenants, cfg.topology, cfg.requests
     );
     print_summary(&summarize(&cfg, &report));
 

@@ -11,10 +11,7 @@
 //!
 //! Run with: `cargo run --release --example topology -- 2 2`
 //! (arguments are `<host_cores> <nxp_cores>`, default 2 2; add
-//! `--threads N` or `--threads auto` to shard the fleet across OS
-//! worker threads — the simulated timeline is identical either way,
-//! only the wall clock moves; add `--isas rv64,arm64` to assign
-//! accelerator ISAs per NxP slot, cycling when the list is shorter
+//! `--isas rv64,arm64` to assign accelerator ISAs per NxP slot, cycling when the list is shorter
 //! than the slot count — workers then ship work to every ISA in the
 //! fleet and ISA-aware placement routes each call to a matching core)
 
@@ -68,23 +65,17 @@ fn worker(isas: &[IsaId], rounds: i64, spin: i64, tag: i64) -> ProgramBuilder {
     p
 }
 
-/// Positional arguments, worker count, and accelerator ISA list.
-type Args = (Vec<String>, usize, Vec<IsaId>);
+/// Positional arguments and accelerator ISA list.
+type Args = (Vec<String>, Vec<IsaId>);
 
-/// Parses `--threads N|auto` and `--isas a,b,...` out of the argument
-/// list (`auto` = one worker per available host core), returning the
-/// remaining positional arguments, the worker count, and the
-/// accelerator ISA list.
+/// Parses `--isas a,b,...` out of the argument list, returning the
+/// remaining positional arguments and the accelerator ISA list.
 fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
     let mut positional = Vec::new();
-    let mut threads = 1usize;
     let mut isas = vec![IsaId::Rv64];
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--threads" {
-            let v = args.next().ok_or("--threads needs a value (N or auto)")?;
-            threads = if v == "auto" { 0 } else { v.parse()? };
-        } else if a == "--isas" {
+        if a == "--isas" {
             let v = args.next().ok_or("--isas needs a comma-separated list")?;
             isas = v
                 .split(',')
@@ -98,11 +89,11 @@ fn parse_args() -> Result<Args, Box<dyn std::error::Error>> {
             positional.push(a);
         }
     }
-    Ok((positional, threads, isas))
+    Ok((positional, isas))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (positional, threads, isas) = parse_args()?;
+    let (positional, isas) = parse_args()?;
     let mut args = positional.into_iter();
     let hosts: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(2);
     let nxps: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(2);
@@ -119,10 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut m = Machine::builder()
         .topology(topo)
-        .threads(threads)
         .nxp_isas(slots.clone())
         .build();
-    println!("host execution: {} worker thread(s)", m.threads());
     let (procs, rounds, spin) = (4, 6, 3_000);
     let mut pids = Vec::new();
     for tag in 0..procs {

@@ -1,108 +1,20 @@
-//! Differential determinism for parallel host execution.
+//! Determinism across host threads.
 //!
-//! The `threads(n)` knob shards NxP leg execution across OS worker
-//! threads. The contract is absolute: the merged timeline — exit
-//! codes, simulated clocks, counters, the full event trace with core
-//! tags, per-core stats, and observability spans — must be
-//! bit-identical regardless of the worker count, of OS scheduling
-//! between runs, and of whether chaos/failover plans are active. These
-//! tests sweep `threads ∈ {1, 2, 4}` over clean fleets and over eight
-//! seeded chaos+device-chaos schedules, and re-run each configuration
-//! to shake out scheduling-dependent divergence.
+//! A `Machine` keeps all of its state to itself: nothing global, nothing
+//! thread-local, nothing that depends on OS scheduling. So the same
+//! configuration run alone, or as two or four copies on as many OS
+//! threads at once (one machine per thread), must produce bit-identical
+//! timelines — exit codes, simulated clocks, counters, the full event
+//! trace with core tags, per-core stats and observability spans. These
+//! tests sweep clean 1×1/2×2/4×4 fleets and a 2×3 fleet under eight
+//! seeded chaos+device-chaos schedules. The pinned digests of the same
+//! configurations live in `isa_goldens.rs`.
 
-use flick::{Machine, Outcome, Topology};
-use flick_isa::{abi, FuncBuilder, TargetIsa};
-use flick_sim::{FaultPlan, TraceConfig};
-use flick_toolchain::ProgramBuilder;
-use std::fmt::Write as _;
+mod common;
 
-/// A process that ships `calls` chunks of spin work to the NxP and
-/// exits with `calls * spin + tag`. The NxP function is pure, so
-/// at-least-once re-execution after a device death is harmless.
-fn worker(calls: i64, spin: i64, tag: i64) -> ProgramBuilder {
-    let mut p = ProgramBuilder::new("worker");
-    let mut main = FuncBuilder::new("main", TargetIsa::Host);
-    let lp = main.new_label();
-    main.li(abi::S1, calls);
-    main.li(abi::S2, 0);
-    main.bind(lp);
-    main.li(abi::A0, spin);
-    main.call("nxp_work");
-    main.add(abi::S2, abi::S2, abi::A0);
-    main.addi(abi::S1, abi::S1, -1);
-    main.bne(abi::S1, abi::ZERO, lp);
-    main.li(abi::T0, tag);
-    main.add(abi::A0, abi::S2, abi::T0);
-    main.call("flick_exit");
-    p.func(main.finish());
-    let mut f = FuncBuilder::new("nxp_work", TargetIsa::Nxp);
-    let sl = f.new_label();
-    let done = f.new_label();
-    f.li(abi::T0, 0);
-    f.bind(sl);
-    f.bge(abi::T0, abi::A0, done);
-    f.addi(abi::T0, abi::T0, 1);
-    f.jmp(sl);
-    f.bind(done);
-    f.mv(abi::A0, abi::T0);
-    f.ret();
-    p.func(f.finish());
-    p
-}
-
-/// Serializes every observable the machine exposes into one string:
-/// any divergence between thread counts shows up as a text diff.
-fn fingerprint(m: &Machine, done: &[(u64, Outcome)]) -> String {
-    let mut s = String::new();
-    for (pid, o) in done {
-        let _ = writeln!(
-            s,
-            "pid {pid} exit {} at {:?} stats {:?}",
-            o.exit_code, o.sim_time, o.stats
-        );
-    }
-    let _ = writeln!(s, "host_now {:?}", m.host_now());
-    let _ = writeln!(s, "machine_stats {:?}", m.stats());
-    let _ = writeln!(s, "fault_counts {:?}", m.fault_counts());
-    for (core, st) in m.per_core_stats() {
-        let _ = writeln!(s, "core {core} {st:?}");
-    }
-    let _ = writeln!(s, "trace_len {} dropped {}", m.trace().len(), m.trace().dropped());
-    for ((t, e), tag) in m.trace().events().iter().zip(m.trace().core_tags()) {
-        let _ = writeln!(s, "{t:?} {tag:?} {e:?}");
-    }
-    for sp in m.spans() {
-        let _ = writeln!(s, "span {sp:?}");
-    }
-    s
-}
-
-/// Builds a machine, runs `procs` workers concurrently, fingerprints.
-fn run_fleet(
-    topo: Topology,
-    threads: usize,
-    procs: i64,
-    plan: Option<FaultPlan>,
-) -> String {
-    let mut b = Machine::builder()
-        .topology(topo)
-        .threads(threads)
-        .observability(true)
-        .trace(TraceConfig {
-            enabled: true,
-            capacity: 1 << 20,
-        });
-    if let Some(plan) = plan {
-        b = b.fault_plan(plan);
-    }
-    let mut m = b.build();
-    let mut pids = Vec::new();
-    for tag in 0..procs {
-        pids.push(m.load_program(&mut worker(6, 2_000, tag * 100_000)).unwrap());
-    }
-    let done = m.run_concurrent(&pids, u64::MAX / 2).unwrap();
-    fingerprint(&m, &done)
-}
+use common::{horizon, run_fleet};
+use flick::Topology;
+use flick_sim::FaultPlan;
 
 /// Asserts two fingerprints match, pointing at the first diverging
 /// line rather than dumping megabytes of trace.
@@ -120,82 +32,57 @@ fn assert_same(label: &str, want: &str, got: &str) {
     );
 }
 
+/// Runs the configuration alone, then as `threads` simultaneous copies
+/// on as many OS threads for `threads ∈ {2, 4}`, and asserts every
+/// copy's fingerprint equals the lone run's.
+fn assert_identical_across_thread_counts(
+    label: &str,
+    topo: Topology,
+    procs: i64,
+    plan: Option<FaultPlan>,
+) {
+    let base = run_fleet(topo, procs, plan.clone());
+    for threads in [2, 4] {
+        let runs: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let plan = plan.clone();
+                    s.spawn(move || run_fleet(topo, procs, plan))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, got) in runs.iter().enumerate() {
+            assert_same(&format!("{label} threads={threads} copy {i}"), &base, got);
+        }
+    }
+}
+
 #[test]
 fn clean_fleet_identical_across_thread_counts_1x1() {
-    let topo = Topology::new(1, 1);
-    let base = run_fleet(topo, 1, 3, None);
-    for threads in [2, 4] {
-        let got = run_fleet(topo, threads, 3, None);
-        assert_same(&format!("1x1 threads={threads}"), &base, &got);
-    }
+    assert_identical_across_thread_counts("1x1", Topology::new(1, 1), 3, None);
 }
 
 #[test]
 fn clean_fleet_identical_across_thread_counts_2x2() {
-    let topo = Topology::new(2, 2);
-    let base = run_fleet(topo, 1, 4, None);
-    for threads in [2, 4] {
-        let got = run_fleet(topo, threads, 4, None);
-        assert_same(&format!("2x2 threads={threads}"), &base, &got);
-    }
-    // Repeat runs at the same worker count must also replay exactly:
-    // OS scheduling between runs is not allowed to show through.
-    let again = run_fleet(topo, 4, 4, None);
-    assert_same("2x2 threads=4 repeat", &base, &again);
+    assert_identical_across_thread_counts("2x2", Topology::new(2, 2), 4, None);
 }
 
 #[test]
 fn wide_fleet_identical_across_thread_counts_4x4() {
-    let topo = Topology::new(4, 4);
-    let base = run_fleet(topo, 1, 8, None);
-    for threads in [2, 4] {
-        let got = run_fleet(topo, threads, 8, None);
-        assert_same(&format!("4x4 threads={threads}"), &base, &got);
-    }
-}
-
-#[test]
-fn auto_thread_count_is_still_deterministic() {
-    // threads(0) resolves to the host's core count — whatever that is
-    // on the machine running this test, the timeline must not move.
-    let topo = Topology::new(2, 2);
-    let base = run_fleet(topo, 1, 4, None);
-    let auto = run_fleet(topo, 0, 4, None);
-    assert_same("2x2 threads=auto", &base, &auto);
+    assert_identical_across_thread_counts("4x4", Topology::new(4, 4), 8, None);
 }
 
 #[test]
 fn chaos_and_failover_seed_sweep_identical_across_thread_counts() {
     // Link chaos + seeded device deaths/rejoins layered together, the
-    // harshest replay surface the machine has. Eight seeds, each run
-    // at 1, 2 and 4 workers plus one repeat.
+    // harshest replay surface the machine has. The fault-free twin
+    // bounds the device-chaos horizon (same recipe as the failover
+    // example and tests).
     let topo = Topology::new(2, 3);
+    let h = horizon(topo, 4);
     for seed in 1..=8u64 {
-        // Fault-free twin bounds the device-chaos horizon (same recipe
-        // as the failover example and tests).
-        let clean = run_fleet(topo, 1, 4, None);
-        let horizon = {
-            // Cheap parse-free horizon: rebuild the clean machine once
-            // to read its finish time.
-            let mut m = Machine::builder().topology(topo).build();
-            let mut pids = Vec::new();
-            for tag in 0..4 {
-                pids.push(m.load_program(&mut worker(6, 2_000, tag * 100_000)).unwrap());
-            }
-            m.run_concurrent(&pids, u64::MAX / 2).unwrap();
-            m.host_now()
-        };
-        drop(clean);
-        let plan = || {
-            FaultPlan::chaos(seed)
-                .with_device_events(FaultPlan::device_chaos(seed, 3, horizon))
-        };
-        let base = run_fleet(topo, 1, 4, Some(plan()));
-        for threads in [2, 4] {
-            let got = run_fleet(topo, threads, 4, Some(plan()));
-            assert_same(&format!("seed={seed} threads={threads}"), &base, &got);
-        }
-        let again = run_fleet(topo, 4, 4, Some(plan()));
-        assert_same(&format!("seed={seed} threads=4 repeat"), &base, &again);
+        let plan = FaultPlan::chaos(seed).with_device_events(FaultPlan::device_chaos(seed, 3, h));
+        assert_identical_across_thread_counts(&format!("seed={seed}"), topo, 4, Some(plan));
     }
 }
