@@ -464,62 +464,12 @@ fn bench_interpreter(samples: u32) -> BenchResult {
     )
 }
 
-/// Pure step-loop throughput: a bare `Core` against identity-mapped
-/// memory, no machine, kernel, or scheduler in the loop. This is the
-/// ceiling the decoded-instruction fast path is chasing.
-fn bench_pure_interpret(samples: u32) -> BenchResult {
-    // Identity-map the low 16 MiB and plant the loop at 0x40_0000, like
-    // the cpu crate's own fixtures.
-    let mut mem = PhysMem::new();
-    let mut alloc = BumpFrameAlloc::new(PhysAddr(0x100_0000), PhysAddr(0x200_0000));
-    let mut aspace = AddressSpace::new(&mut mem, &mut alloc);
-    aspace
-        .map_range(
-            &mut mem,
-            &mut alloc,
-            VirtAddr(0),
-            PhysAddr(0),
-            16 << 20,
-            flags::PRESENT | flags::WRITABLE | flags::USER,
-        )
-        .unwrap();
-    let cr3 = aspace.cr3();
-    let mut f = FuncBuilder::new("loop", TargetIsa::Host);
-    let lp = f.new_label();
-    f.li(abi::S1, INTERP_ITERS);
-    f.bind(lp);
-    f.addi(abi::A0, abi::A0, 1);
-    f.addi(abi::A1, abi::A1, 2);
-    f.addi(abi::S1, abi::S1, -1);
-    f.bne(abi::S1, abi::ZERO, lp);
-    f.halt();
-    let enc = Isa::X64.encode(&f.finish()).unwrap();
-    mem.write_bytes(PhysAddr(0x40_0000), &enc.bytes);
-    let env = MemEnv::paper_default();
-
-    // Count retired instructions once so instructions/sec is exact.
-    let mut probe = Core::new(CoreConfig::host());
-    probe.set_cr3(cr3);
-    probe.set_pc(VirtAddr(0x40_0000));
-    assert_eq!(probe.run(&mut mem, &env, u64::MAX), StopReason::Halt);
-    let insts = probe.counters().instructions;
-
-    bench("interpret", samples, Some(insts), move || {
-        let mut core = Core::new(CoreConfig::host());
-        core.set_cr3(cr3);
-        core.set_pc(VirtAddr(0x40_0000));
-        black_box(core.run(&mut mem, &env, u64::MAX));
-    })
-}
-
 /// Chaining best case: a tight loop dominated by taken back-edges —
 /// the body is just a cross-register add plus the decrement, so nearly
 /// every retired instruction sits on a block boundary. Without block
 /// chaining every iteration re-enters top-level dispatch; with it the
-/// whole run is one chain/spin entry. The cross-register `add` is
-/// deliberate: it keeps the loop out of the affine closed form
-/// (DESIGN.md §8), so this bench exercises the *iterating* spin tier
-/// — the machinery the `bench_gate` regression gate watches for
+/// whole run is one chain/spin entry, so this bench exercises the spin
+/// tier — the machinery the `bench_gate` regression gate watches for
 /// "chaining fell off".
 fn bench_interpret_hotloop(samples: u32) -> BenchResult {
     let mut mem = PhysMem::new();
@@ -645,7 +595,6 @@ fn main() {
     let mut results = vec![
         bench_migration_round_trip(samples),
         bench_interpreter(samples),
-        bench_pure_interpret(samples),
         bench_interpret_hotloop(samples),
         bench_pointer_chase(samples),
         bench_graph_generation(samples),

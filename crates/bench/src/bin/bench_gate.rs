@@ -5,9 +5,9 @@
 //! Three kinds of gates:
 //!
 //! - **Wall-clock** (`mean_ns`): only benches cheap enough to be stable
-//!   at 1 sample — `interpret` (the pure step-loop ceiling the block
-//!   engine owns), `interpret_hotloop` (the back-edge-dominated
-//!   chaining best case), `migration_throughput_1nxp` (the end-to-end
+//!   at 1 sample — `interpret_hotloop` (a bare core spinning a
+//!   back-edge-dominated loop: the block lane's chaining and spin-tier
+//!   best case), `migration_throughput_1nxp` (the end-to-end
 //!   descriptor path), and `migration_throughput_degraded` (the same
 //!   fleet with one NxP crashed mid-run). A 1-sample smoke run is
 //!   noisy, so the threshold is generous (30%): this catches "the fast
@@ -30,8 +30,7 @@
 use std::process::ExitCode;
 
 /// Benchmarks gated on wall-clock `mean_ns`.
-const GATED: [&str; 4] = [
-    "interpret",
+const GATED: [&str; 3] = [
     "interpret_hotloop",
     "migration_throughput_1nxp",
     "migration_throughput_degraded",

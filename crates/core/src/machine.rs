@@ -868,6 +868,7 @@ impl Machine {
             total.block_fallback_steps += ch.block_fallback_steps;
             total.data_memo_hits += ch.data_memo_hits;
             total.data_memo_misses += ch.data_memo_misses;
+            total.spin_insts += ch.spin_insts;
         }
         total
     }

@@ -3,7 +3,7 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::decoded::{
-    BlockInst, DecodedBlock, DecodedCache, SpinBranch, SpinFoldKind, SpinOp, NO_SUCC,
+    lower_spin, BlockInst, DecodedBlock, DecodedCache, SpinBranch, SpinOp, NO_SUCC,
 };
 use crate::tlb::{MmuHole, Tlb, TlbEntry};
 use crate::MemEnv;
@@ -133,17 +133,6 @@ pub struct CoreConfig {
     /// (enforced by `tests/fastpath.rs`). On by default; switched off by
     /// the differential tests.
     pub fast_path: bool,
-    /// Enables block chaining: a completed block whose control transfer
-    /// lands on a statically known same-page successor continues in the
-    /// block lane through a lazily patched [`DecodedBlock`] link instead
-    /// of returning to `Core::run`'s top-level dispatch. Like
-    /// `fast_path` this is purely a host wall-clock optimization —
-    /// every chain follow re-validates exactly what dispatch would have
-    /// (fuel, page, I-TLB generation, text generation), so simulated
-    /// clocks, stats, and traces are bit-identical with chaining on or
-    /// off (enforced by `tests/blocks.rs`). Only meaningful with
-    /// `fast_path`; on by default.
-    pub chain: bool,
 }
 
 impl CoreConfig {
@@ -162,7 +151,6 @@ impl CoreConfig {
             dcache_nxp_dram: false,
             emulates_foreign_isa: false,
             fast_path: true,
-            chain: true,
         }
     }
 
@@ -222,7 +210,6 @@ impl CoreConfig {
             dcache_nxp_dram: false,
             emulates_foreign_isa: false,
             fast_path: true,
-            chain: true,
         }
     }
 }
@@ -377,7 +364,7 @@ impl CoreCounters {
 /// Host-side chain-efficacy tallies, deliberately a *separate* bag from
 /// [`CoreCounters`]: those materialize into the simulated [`Stats`] the
 /// differential suites compare bit-for-bit between engine variants, and
-/// chain behaviour must differ between chaining on and off. These
+/// these differ between the block lane and the step path. These
 /// counters describe the host execution strategy (which lane retired
 /// the work), not the simulated machine, so they are reported through
 /// their own accessor ([`Core::chain_counters`]) and never folded into
@@ -407,6 +394,10 @@ pub struct ChainCounters {
     /// a D-TLB change), the access crossed a frame, or a store hit a
     /// read-only page.
     pub data_memo_misses: u64,
+    /// Instructions retired by the spin tier ([`SpinOp`] batches of a
+    /// charge-free, memory-free self-loop) rather than by the block
+    /// executor or the step path.
+    pub spin_insts: u64,
 }
 
 impl ChainCounters {
@@ -422,6 +413,7 @@ impl ChainCounters {
             ("block_fallback_steps", self.block_fallback_steps),
             ("data_memo_hits", self.data_memo_hits),
             ("data_memo_misses", self.data_memo_misses),
+            ("spin_insts", self.spin_insts),
         ] {
             if v != 0 {
                 s.bump_by(name, v);
@@ -1513,7 +1505,6 @@ impl Core {
                 }
             },
         };
-        let chain = self.cfg.chain;
         // The chain loop: run the current block; while its control
         // transfer lands on a statically known same-page successor and
         // the follow validation holds, continue in the lane. The
@@ -1532,7 +1523,7 @@ impl Core {
             match self.exec_block(&cur, &fcv, mem, env, text_gen, left) {
                 Err(stop) => break Err(stop),
                 Ok(completed) => {
-                    if !chain || !completed {
+                    if !completed {
                         break Ok(());
                     }
                 }
@@ -1575,17 +1566,21 @@ impl Core {
                         self.chain.chain_patches += 1;
                     }
                     self.chain.chain_hits += 1;
-                    if cur.mem_free && *left >= cur.insts.len() as u64 {
+                    let n = cur.insts.len() as u64;
+                    if !cur.spin.is_empty() && *left >= n {
                         // Spin batch: replay full iterations back to
                         // back (see `exec_block_spin` for why the
                         // per-follow validation is provably constant
                         // here), then re-validate from the exit PC.
-                        let iters = self.exec_block_spin(&cur, env, left);
-                        self.chain.chain_hits += iters - 1;
-                        continue;
+                        if let Some(iters) = self.exec_block_spin(&cur, left) {
+                            self.chain.chain_hits += iters - 1;
+                            self.chain.spin_insts += iters * n;
+                            continue;
+                        }
                     }
-                    // Memory-touching or fuel-short self-loop: execute
-                    // normally (handles faults, SMC, partial fuel).
+                    // Memory-touching, fetch-charging or fuel-short
+                    // self-loop: execute normally (handles faults, SMC,
+                    // I-cache charges, partial fuel).
                     continue 'lane;
                 }
                 let next = match Self::ws_take(&mut ws, off) {
@@ -1802,26 +1797,20 @@ impl Core {
         } else {
             let total_cycles = insts.iter().map(|bi| bi.cycles).sum();
             let total_picos = insts.iter().map(|bi| bi.picos).sum();
-            let mem_free = insts
-                .iter()
-                .all(|bi| !matches!(bi.inst, Inst::Ld { .. } | Inst::St { .. }));
             // Only blocks with a successor edge can ever spin; skip the
             // lowering for the rest (trap terminators, page exits).
-            let spin = if mem_free && succ != [NO_SUCC; 2] {
-                DecodedBlock::lower_spin(&insts)
+            let spin = if succ != [NO_SUCC; 2] {
+                lower_spin(&insts)
             } else {
                 Vec::new()
             };
-            let fold = DecodedBlock::fold_spin(&spin, insts[0].off);
             Some(DecodedBlock {
                 insts,
                 total_cycles,
                 total_picos,
-                mem_free,
                 succ_off: succ,
                 links: [OnceLock::new(), OnceLock::new()],
                 spin,
-                fold,
             })
         }
     }
@@ -1877,99 +1866,6 @@ impl Core {
         let mut pc = self.pc.as_u64();
         let mut fuel = *left;
         let mut first = true;
-        // Fast lane: a memory-free block entered with fuel for every
-        // instruction cannot exit early — ALU and control instructions
-        // never fault, the fuel check cannot trip, and `ecall`/`halt`
-        // terminators are always last — so every instruction retires
-        // and the per-instruction retired/fuel/cycle/pico arithmetic
-        // collapses into the block totals precomputed at decode time.
-        // Fetch charges and architectural effects still replay per
-        // instruction, in order, so the observable sequence (clock
-        // stalls, stats, memo line updates) is unchanged.
-        let n = block.insts.len() as u64;
-        if block.mem_free && fuel >= n {
-            let mut stop = None;
-            for bi in &block.insts {
-                let charge = if first {
-                    first = false;
-                    self.icache.line_index(pa_page | bi.off as u64) != fc.line
-                } else {
-                    bi.new_line
-                };
-                if charge {
-                    let pa = PhysAddr(pa_page | bi.off as u64);
-                    self.charge_fetch(pa, env);
-                    let line = self.icache.line_index(pa.as_u64());
-                    if let Some(fc) = &mut self.fetch_frame {
-                        fc.line = line;
-                    }
-                }
-                let next = va_page + bi.next_off as u64;
-                match bi.inst {
-                    Inst::Alu { op, rd, rs1, rs2 } => {
-                        let v = op.eval(self.reg(rs1), self.reg(rs2));
-                        self.set_reg(rd, v);
-                        pc = next;
-                    }
-                    Inst::AluImm { op, rd, rs1, imm } => {
-                        let v = op.eval(self.reg(rs1), imm as i64 as u64);
-                        self.set_reg(rd, v);
-                        pc = next;
-                    }
-                    Inst::Li { rd, imm } => {
-                        self.set_reg(rd, imm as u64);
-                        pc = next;
-                    }
-                    Inst::Branch { op, rs1, rs2, target } => {
-                        let taken = op.eval(self.reg(rs1), self.reg(rs2));
-                        pc = if taken {
-                            let pc_va = va_page + bi.off as u64;
-                            (pc_va as i64 + rel_of(target)) as u64
-                        } else {
-                            next
-                        };
-                    }
-                    Inst::Jal { rd, target } => {
-                        self.set_reg(rd, next);
-                        let pc_va = va_page + bi.off as u64;
-                        pc = (pc_va as i64 + rel_of(target)) as u64;
-                    }
-                    Inst::Jalr { rd, rs1, off } => {
-                        let dest = self.reg(rs1).wrapping_add(off as i64 as u64);
-                        self.set_reg(rd, next);
-                        pc = dest;
-                    }
-                    Inst::Ret => {
-                        pc = self.reg(abi::RA);
-                    }
-                    Inst::Ecall { service } => {
-                        // Terminator: always the block's last
-                        // instruction, so recording the stop (instead
-                        // of breaking) changes nothing.
-                        pc = next;
-                        stop = Some(StopReason::Ecall(service));
-                    }
-                    Inst::Halt => {
-                        pc = next;
-                        stop = Some(StopReason::Halt);
-                    }
-                    Inst::Nop => {
-                        pc = next;
-                    }
-                    Inst::Ld { .. } | Inst::St { .. } | Inst::LiSym { .. } => {
-                        unreachable!("excluded from mem-free blocks at build")
-                    }
-                }
-            }
-            self.pc = VirtAddr(pc);
-            *left = fuel - n;
-            self.counters.instructions += n;
-            self.clock.credit(block.total_cycles, Picos(block.total_picos));
-            return match stop {
-                None => Ok(true),
-                Some(s) => Err(s),
-            };
-        }
         let mut retired = 0u64;
         let mut cycles = 0u64;
         let mut picos = 0u64;
@@ -2091,7 +1987,7 @@ impl Core {
         self.counters.instructions += retired;
         self.clock.credit(cycles, Picos(picos));
         match res {
-            Ok(None) => Ok(retired == n),
+            Ok(None) => Ok(retired == block.insts.len() as u64),
             Ok(Some(stop)) => Err(stop),
             Err(e) => Err(StopReason::Fault(e)),
         }
@@ -2100,243 +1996,121 @@ impl Core {
     /// Replays a validated, memory-free self-loop block — the hottest
     /// shape there is — for as many *full* iterations as fuel allows
     /// without leaving the function between follows. Correctness leans
-    /// on `mem_free`: no loads or stores means no data walks, no
-    /// faults, and no way to bump the text or I-TLB generations
-    /// mid-batch, so the per-follow validation the chain loop normally
-    /// re-runs is provably constant and the only live exit conditions
-    /// are the loop transfer leaving the block start and fuel.
-    /// Per-instruction effects (register writes, PC, I-cache line
-    /// charges) still replay in order; only the accounting is batched,
-    /// flushed once by multiplying the pre-rounded per-iteration
-    /// totals — bit-identical to per-iteration crediting because each
-    /// summand already carries `Clock::tick`'s rounding.
+    /// on the block lowering to spin micro-ops ([`SpinOp`]): lowering
+    /// rejects loads, stores and traps, so a spinning block performs no
+    /// data walks, raises no faults, and cannot bump the text or I-TLB
+    /// generations mid-batch. The per-follow validation the chain loop
+    /// normally re-runs is therefore provably constant, and the only
+    /// live exit conditions are the loop transfer leaving the block
+    /// start and fuel.
     ///
-    /// A trap or indirect terminator never carries a successor edge, so
-    /// a self-chained block can only end in a conditional branch or
-    /// direct jump; `Ecall`/`Halt` (and, via `mem_free`, loads and
-    /// stores) are structurally absent.
+    /// The batch must also be *charge-free*: no instruction inside the
+    /// block starts a new I-cache line and the block's first line is
+    /// the memoized one, so an iteration performs zero I-cache charges
+    /// — and since charges are the only thing that can move the memo's
+    /// line, that holds for every later iteration too. The loop body
+    /// then shrinks to pure architectural effects, executed from the
+    /// pre-lowered micro-ops: one jump table per instruction,
+    /// bounds-check-free register-file indexing, pre-resolved branch
+    /// displacements. The register file moves into a local array for
+    /// the duration (no aliasing with `self`, so nothing reloads across
+    /// instructions); `r0` stays zero because lowering turned every
+    /// write to it into a `Nop` (the `Jalr` link is the one runtime
+    /// discard left). Only the accounting is batched, flushed once by
+    /// multiplying the pre-rounded per-iteration totals — bit-identical
+    /// to per-iteration crediting because each summand already carries
+    /// `Clock::tick`'s rounding.
     ///
     /// Returns the number of iterations executed (≥ 1; the caller
-    /// checked fuel covers one). The caller re-validates the exit PC.
-    fn exec_block_spin(&mut self, block: &DecodedBlock, env: &MemEnv, left: &mut u64) -> u64 {
+    /// checked fuel covers one), or `None` without touching any state
+    /// when the block is not charge-free — the caller then executes it
+    /// through [`exec_block`](Self::exec_block). The caller re-validates
+    /// the exit PC.
+    fn exec_block_spin(&mut self, block: &DecodedBlock, left: &mut u64) -> Option<u64> {
         let Some(fc) = self.fetch_frame else {
             unreachable!("spin is entered from a validated lane");
         };
         let va_page = fc.va_page;
-        let pa_page = fc.pa_page;
+        if block.insts.iter().any(|bi| bi.new_line)
+            || self.icache.line_index(fc.pa_page | block.insts[0].off as u64) != fc.line
+        {
+            return None;
+        }
         let start = self.pc.as_u64();
-        let mut cur_line = fc.line;
         let mut pc = start;
         let mut fuel = *left;
         let n = block.insts.len() as u64;
         let mut iters = 0u64;
-        // Charge-free tier: when no instruction inside the block starts
-        // a new I-cache line and the block's first line is the memoized
-        // one, an iteration performs *zero* I-cache charges — and since
-        // charges are the only thing that can move `cur_line`, that
-        // holds for every subsequent iteration too. The loop body then
-        // shrinks to pure architectural effects, executed from the
-        // block's pre-lowered micro-ops ([`SpinOp`]): one jump table
-        // per instruction, bounds-check-free register-file indexing,
-        // pre-resolved branch displacements. The register file moves
-        // into a local array for the duration (no aliasing with `self`,
-        // so nothing reloads across instructions); `r0` stays zero
-        // because lowering turned every write to it into a `Nop` (the
-        // `Jalr` link is the one runtime discard left). The simulated
-        // machine sees the identical hit sequence the careful tier
-        // would have replayed (all hits, all free).
-        if !block.spin.is_empty()
-            && block.insts.iter().all(|bi| !bi.new_line)
-            && self.icache.line_index(pa_page | block.insts[0].off as u64) == cur_line
-        {
-            // Affine fold: when the loop has a closed form (see
-            // [`SpinFold`]), the whole run of iterations collapses to
-            // O(1) — trip count solved from the counter's entry value,
-            // each register bumped by `delta × iters`, and the same
-            // batched accounting flush the iterating tiers do. `iters`
-            // is clamped so the accounting multiplications cannot
-            // overflow; a clamped entry exits with `pc` still at the
-            // block start and the caller simply re-enters.
-            if let Some(f) = &block.fold {
-                let t_fuel = fuel / n;
-                let t_cond = match f.kind {
-                    SpinFoldKind::Never => u64::MAX,
-                    SpinFoldKind::Down => match self.regs[f.counter as usize & 31] {
-                        0 => u64::MAX,
-                        v => v,
-                    },
-                    SpinFoldKind::Up => match self.regs[f.counter as usize & 31] {
-                        0 => u64::MAX,
-                        v => v.wrapping_neg(),
-                    },
-                };
-                let cap = (u64::MAX / block.total_picos.max(1))
-                    .min(u64::MAX / block.total_cycles.max(1))
-                    .max(1);
-                let iters = t_cond.min(t_fuel).min(cap);
-                for &(r, d) in &f.deltas {
-                    let i = r as usize & 31;
-                    self.regs[i] = self.regs[i].wrapping_add(d.wrapping_mul(iters));
-                }
-                let cond_exit = iters == t_cond && !matches!(f.kind, SpinFoldKind::Never);
-                self.pc = VirtAddr(if cond_exit {
-                    va_page + f.next as u64
-                } else {
-                    start
-                });
-                *left = fuel - iters * n;
-                self.counters.instructions += iters * n;
-                self.clock
-                    .credit(iters * block.total_cycles, Picos(iters * block.total_picos));
-                return iters;
+        let mut lr = self.regs;
+        let take = |b: &SpinBranch, cond: bool| -> u64 {
+            if cond {
+                (va_page as i64 + b.taken) as u64
+            } else {
+                va_page + b.next as u64
             }
-            let mut lr = self.regs;
-            let take = |b: &SpinBranch, cond: bool| -> u64 {
-                if cond {
-                    (va_page as i64 + b.taken) as u64
-                } else {
-                    va_page + b.next as u64
-                }
-            };
-            loop {
-                for op in &block.spin {
-                    match *op {
-                        SpinOp::AddImm { rd, rs1, imm } => {
-                            lr[rd as usize & 31] = lr[rs1 as usize & 31].wrapping_add(imm);
-                        }
-                        SpinOp::Add { rd, rs1, rs2 } => {
-                            lr[rd as usize & 31] =
-                                lr[rs1 as usize & 31].wrapping_add(lr[rs2 as usize & 31]);
-                        }
-                        SpinOp::Alu { op, rd, rs1, rs2 } => {
-                            lr[rd as usize & 31] =
-                                op.eval(lr[rs1 as usize & 31], lr[rs2 as usize & 31]);
-                        }
-                        SpinOp::AluImm { op, rd, rs1, imm } => {
-                            lr[rd as usize & 31] = op.eval(lr[rs1 as usize & 31], imm);
-                        }
-                        SpinOp::Li { rd, imm } => {
-                            lr[rd as usize & 31] = imm;
-                        }
-                        SpinOp::Beq(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] == lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Bne(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] != lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Blt(ref b) => {
-                            pc = take(
-                                b,
-                                (lr[b.rs1 as usize & 31] as i64) < (lr[b.rs2 as usize & 31] as i64),
-                            );
-                        }
-                        SpinOp::Bge(ref b) => {
-                            pc = take(
-                                b,
-                                (lr[b.rs1 as usize & 31] as i64)
-                                    >= (lr[b.rs2 as usize & 31] as i64),
-                            );
-                        }
-                        SpinOp::Bltu(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] < lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Bgeu(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] >= lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Jal { rd, taken, next } => {
-                            lr[rd as usize & 31] = va_page + next as u64;
-                            pc = (va_page as i64 + taken) as u64;
-                        }
-                        SpinOp::Jmp { taken } => {
-                            pc = (va_page as i64 + taken) as u64;
-                        }
-                        SpinOp::Jalr { rd, rs1, off, next } => {
-                            let dest = lr[rs1 as usize & 31].wrapping_add(off);
-                            lr[rd as usize & 31] = va_page + next as u64;
-                            lr[0] = 0;
-                            pc = dest;
-                        }
-                        SpinOp::Ret => {
-                            pc = lr[abi::RA.index()];
-                        }
-                        SpinOp::Nop => {}
-                    }
-                }
-                iters += 1;
-                fuel -= n;
-                if pc != start || fuel < n {
-                    break;
-                }
-            }
-            self.regs = lr;
-            self.pc = VirtAddr(pc);
-            *left = fuel;
-            self.counters.instructions += iters * n;
-            self.clock
-                .credit(iters * block.total_cycles, Picos(iters * block.total_picos));
-            return iters;
-        }
+        };
         loop {
-            let mut first = true;
-            for bi in &block.insts {
-                let charge = if first {
-                    first = false;
-                    self.icache.line_index(pa_page | bi.off as u64) != cur_line
-                } else {
-                    bi.new_line
-                };
-                if charge {
-                    let pa = PhysAddr(pa_page | bi.off as u64);
-                    self.charge_fetch(pa, env);
-                    cur_line = self.icache.line_index(pa.as_u64());
-                }
-                let next = va_page + bi.next_off as u64;
-                match bi.inst {
-                    Inst::Alu { op, rd, rs1, rs2 } => {
-                        let v = op.eval(self.reg(rs1), self.reg(rs2));
-                        self.set_reg(rd, v);
-                        pc = next;
+            for op in &block.spin {
+                match *op {
+                    SpinOp::AddImm { rd, rs1, imm } => {
+                        lr[rd as usize & 31] = lr[rs1 as usize & 31].wrapping_add(imm);
                     }
-                    Inst::AluImm { op, rd, rs1, imm } => {
-                        let v = op.eval(self.reg(rs1), imm as i64 as u64);
-                        self.set_reg(rd, v);
-                        pc = next;
+                    SpinOp::Add { rd, rs1, rs2 } => {
+                        lr[rd as usize & 31] =
+                            lr[rs1 as usize & 31].wrapping_add(lr[rs2 as usize & 31]);
                     }
-                    Inst::Li { rd, imm } => {
-                        self.set_reg(rd, imm as u64);
-                        pc = next;
+                    SpinOp::Alu { op, rd, rs1, rs2 } => {
+                        lr[rd as usize & 31] =
+                            op.eval(lr[rs1 as usize & 31], lr[rs2 as usize & 31]);
                     }
-                    Inst::Branch { op, rs1, rs2, target } => {
-                        let taken = op.eval(self.reg(rs1), self.reg(rs2));
-                        pc = if taken {
-                            let pc_va = va_page + bi.off as u64;
-                            (pc_va as i64 + rel_of(target)) as u64
-                        } else {
-                            next
-                        };
+                    SpinOp::AluImm { op, rd, rs1, imm } => {
+                        lr[rd as usize & 31] = op.eval(lr[rs1 as usize & 31], imm);
                     }
-                    Inst::Jal { rd, target } => {
-                        self.set_reg(rd, next);
-                        let pc_va = va_page + bi.off as u64;
-                        pc = (pc_va as i64 + rel_of(target)) as u64;
+                    SpinOp::Li { rd, imm } => {
+                        lr[rd as usize & 31] = imm;
                     }
-                    Inst::Jalr { rd, rs1, off } => {
-                        let dest = self.reg(rs1).wrapping_add(off as i64 as u64);
-                        self.set_reg(rd, next);
+                    SpinOp::Beq(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] == lr[b.rs2 as usize & 31]);
+                    }
+                    SpinOp::Bne(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] != lr[b.rs2 as usize & 31]);
+                    }
+                    SpinOp::Blt(ref b) => {
+                        pc = take(
+                            b,
+                            (lr[b.rs1 as usize & 31] as i64) < (lr[b.rs2 as usize & 31] as i64),
+                        );
+                    }
+                    SpinOp::Bge(ref b) => {
+                        pc = take(
+                            b,
+                            (lr[b.rs1 as usize & 31] as i64)
+                                >= (lr[b.rs2 as usize & 31] as i64),
+                        );
+                    }
+                    SpinOp::Bltu(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] < lr[b.rs2 as usize & 31]);
+                    }
+                    SpinOp::Bgeu(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] >= lr[b.rs2 as usize & 31]);
+                    }
+                    SpinOp::Jal { rd, taken, next } => {
+                        lr[rd as usize & 31] = va_page + next as u64;
+                        pc = (va_page as i64 + taken) as u64;
+                    }
+                    SpinOp::Jmp { taken } => {
+                        pc = (va_page as i64 + taken) as u64;
+                    }
+                    SpinOp::Jalr { rd, rs1, off, next } => {
+                        let dest = lr[rs1 as usize & 31].wrapping_add(off);
+                        lr[rd as usize & 31] = va_page + next as u64;
+                        lr[0] = 0;
                         pc = dest;
                     }
-                    Inst::Ret => {
-                        pc = self.reg(abi::RA);
+                    SpinOp::Ret => {
+                        pc = lr[abi::RA.index()];
                     }
-                    Inst::Nop => {
-                        pc = next;
-                    }
-                    Inst::Ecall { .. } | Inst::Halt => {
-                        unreachable!("trap terminator cannot carry a successor edge")
-                    }
-                    Inst::Ld { .. } | Inst::St { .. } | Inst::LiSym { .. } => {
-                        unreachable!("excluded from mem-free blocks at build")
-                    }
+                    SpinOp::Nop => {}
                 }
             }
             iters += 1;
@@ -2345,15 +2119,13 @@ impl Core {
                 break;
             }
         }
+        self.regs = lr;
         self.pc = VirtAddr(pc);
         *left = fuel;
         self.counters.instructions += iters * n;
         self.clock
             .credit(iters * block.total_cycles, Picos(iters * block.total_picos));
-        if let Some(fc) = &mut self.fetch_frame {
-            fc.line = cur_line;
-        }
-        iters
+        Some(iters)
     }
 }
 

@@ -219,101 +219,11 @@ pub enum SpinOp {
     Nop,
 }
 
-/// How an affine spin block's trip count derives from its counter
-/// register's entry value (see [`SpinFold`]).
-#[derive(Clone, Copy, Debug)]
-pub enum SpinFoldKind {
-    /// Counter nets −1 per iteration, `bne counter, r0` terminator:
-    /// the loop runs `counter` iterations (entry value 0 wraps first,
-    /// so it reads as "practically unbounded" — fuel exits long before
-    /// 2⁶⁴ iterations).
-    Down,
-    /// Counter nets +1 per iteration: `counter.wrapping_neg()`
-    /// iterations until the wrap back to zero falls through.
-    Up,
-    /// Unconditional self-jump — only fuel ever exits.
-    Never,
-}
-
-/// Closed-form execution plan for an *affine* self-loop: a spin block
-/// whose body is nothing but self-increments (`rd = rd + imm`) and
-/// `Nop`s, terminated by a back-edge that tests one of those counters
-/// against `r0` (or by an unconditional self-jump). Such a loop's
-/// state after `k` iterations is linear in `k` — each register gains
-/// `delta × k` (wrapping multiplication *is* `k` wrapping additions,
-/// addition being associative mod 2⁶⁴) and the first fall-through
-/// iteration solves exactly from the counter's entry value — so the
-/// spin tier executes the whole run of iterations in O(1) instead of
-/// O(k), with bit-identical registers, PC, fuel, instruction counts
-/// and clock credit. The canonical `li n; lp: ...; addi n, n, -1;
-/// bne n, r0, lp` countdown every toolchain loop emits folds; anything
-/// with a cross-register read falls back to the per-op spin loop.
-#[derive(Clone, Debug)]
-pub struct SpinFold {
-    /// Net per-iteration wrapping delta for every register the body
-    /// writes (register index, delta). Applied as `reg += delta × k`.
-    pub deltas: Vec<(u8, u64)>,
-    /// The register the terminator tests against `r0` (unused for
-    /// [`SpinFoldKind::Never`]). Never `r0` itself.
-    pub counter: u8,
-    /// Trip-count rule.
-    pub kind: SpinFoldKind,
-    /// Fall-through page offset on a condition exit.
-    pub next: u16,
-}
-
-/// Derives the closed form of an affine self-loop from its lowered
-/// ops, or `None` when the block is not affine: any body op that is
-/// not a self-increment or `Nop`, a terminator other than
-/// `bne counter, r0` / self-`Jmp`, a back-edge that is not the block
-/// entry, or a counter step other than ±1 (other steps need modular
-/// division to solve and are not worth the code).
-fn fold_spin(ops: &[SpinOp], entry_off: u16) -> Option<SpinFold> {
-    let (last, body) = ops.split_last()?;
-    let mut deltas: Vec<(u8, u64)> = Vec::new();
-    for op in body {
-        match *op {
-            SpinOp::AddImm { rd, rs1, imm } if rd == rs1 => {
-                match deltas.iter_mut().find(|e| e.0 == rd) {
-                    Some(e) => e.1 = e.1.wrapping_add(imm),
-                    None => deltas.push((rd, imm)),
-                }
-            }
-            SpinOp::Nop => {}
-            _ => return None,
-        }
-    }
-    match *last {
-        SpinOp::Jmp { taken } if taken == entry_off as i64 => Some(SpinFold {
-            deltas,
-            counter: 0,
-            kind: SpinFoldKind::Never,
-            next: 0,
-        }),
-        SpinOp::Bne(b) if b.taken == entry_off as i64 => {
-            let counter = match (b.rs1, b.rs2) {
-                (c, 0) if c != 0 => c,
-                (0, c) if c != 0 => c,
-                _ => return None,
-            };
-            let step = deltas.iter().find(|e| e.0 == counter).map_or(0, |e| e.1);
-            let kind = match step {
-                u64::MAX => SpinFoldKind::Down,
-                1 => SpinFoldKind::Up,
-                _ => return None,
-            };
-            Some(SpinFold { deltas, counter, kind, next: b.next })
-        }
-        _ => None,
-    }
-}
-
 /// Lowers a block's instructions to [`SpinOp`]s. Returns an empty
 /// vector when any instruction falls outside the spin subset (loads,
-/// stores, traps, unresolved targets) — such a block either is not
-/// `mem_free` or ends in a trap terminator, and the spin tier never
-/// runs it.
-fn lower_spin(insts: &[BlockInst]) -> Vec<SpinOp> {
+/// stores, traps, unresolved targets), and the spin tier never runs
+/// such a block.
+pub(crate) fn lower_spin(insts: &[BlockInst]) -> Vec<SpinOp> {
     let m = |r: flick_isa::Reg| (r.index() & 31) as u8;
     let rel = |t: Target| match t {
         Target::Rel(d) => Some(d),
@@ -409,19 +319,13 @@ fn lower_spin(insts: &[BlockInst]) -> Vec<SpinOp> {
 pub struct DecodedBlock {
     /// The instructions, in execution order. Never empty.
     pub insts: Vec<BlockInst>,
-    /// Sum of every instruction's `cycles` — the whole-block charge
-    /// when nothing can cut the block short.
+    /// Sum of every instruction's `cycles` — one spin iteration's
+    /// charge.
     pub total_cycles: u64,
     /// Sum of every instruction's `picos`. Each summand already
     /// carries `Clock::tick`'s per-call rounding, so charging this
     /// total once equals ticking instruction by instruction.
     pub total_picos: u64,
-    /// True when the block contains no loads or stores. Such a block,
-    /// entered with fuel for every instruction, cannot exit early —
-    /// ALU and control instructions never fault and terminators are
-    /// always last — so the execution loop batches its per-instruction
-    /// accounting into the totals above.
-    pub mem_free: bool,
     /// Page offsets of the terminator's static successors within the
     /// same page — `[taken, fall-through]` for a conditional branch,
     /// `[target, NO_SUCC]` for a direct jump the builder chose not to
@@ -437,34 +341,18 @@ pub struct DecodedBlock {
     /// successor block. `Weak` (not `Arc`) so self-loops and cycles —
     /// every hot loop is one — cannot keep invalidated blocks alive
     /// past a text_gen bump; `OnceLock` keeps the block `Sync`, so an
-    /// `Arc<DecodedBlock>` inside a `Core` still crosses the leg-handoff
-    /// thread boundary. An upgrade failure (the successor's basket was
+    /// `Arc<DecodedBlock>` inside a `Core` leaves `Machine` `Send`
+    /// (`tests/determinism.rs` runs machines on several OS threads). An upgrade failure (the successor's basket was
     /// evicted) degrades to a shared-cache lookup on that follow.
     pub links: [OnceLock<Weak<DecodedBlock>>; 2],
     /// The block pre-lowered to spin micro-ops ([`SpinOp`]), parallel
     /// to `insts`, or empty when any instruction falls outside the spin
-    /// subset. Only the charge-free spin tier reads this.
+    /// subset or the block has no successor edge (it can never
+    /// self-loop). Empty means the spin tier never runs the block.
     pub spin: Vec<SpinOp>,
-    /// The closed form of this block as an affine self-loop (see
-    /// [`SpinFold`]), when it has one. Only the charge-free spin tier
-    /// reads this.
-    pub fold: Option<SpinFold>,
 }
 
 impl DecodedBlock {
-    /// Lowers `insts` to the spin micro-op form (see [`SpinOp`]);
-    /// block builders populate the `spin` field with this.
-    pub fn lower_spin(insts: &[BlockInst]) -> Vec<SpinOp> {
-        lower_spin(insts)
-    }
-
-    /// Derives the affine-self-loop closed form of a lowered block
-    /// (see [`SpinFold`]); block builders populate the `fold` field
-    /// with this. `entry_off` is the block's first instruction offset
-    /// — only a back-edge to it makes a self-loop.
-    pub fn fold_spin(ops: &[SpinOp], entry_off: u16) -> Option<SpinFold> {
-        fold_spin(ops, entry_off)
-    }
     /// Resolves successor edge `idx` if it has been patched and the
     /// target block is still alive.
     #[inline]
@@ -685,11 +573,9 @@ mod tests {
             }],
             total_cycles: 1,
             total_picos: 417,
-            mem_free: true,
             succ_off: [NO_SUCC; 2],
             links: [OnceLock::new(), OnceLock::new()],
             spin: Vec::new(),
-            fold: None,
         })
     }
 

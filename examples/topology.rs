@@ -142,8 +142,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let ch = m.chain_stats();
     println!(
-        "\nblock-lane chaining (host-side): {} hits, {} patches, {} breaks, {} fallback steps",
-        ch.chain_hits, ch.chain_patches, ch.chain_breaks, ch.block_fallback_steps
+        "\nblock-lane chaining (host-side): {} hits, {} patches, {} breaks, {} fallback steps, \
+         {} spin-tier instructions",
+        ch.chain_hits, ch.chain_patches, ch.chain_breaks, ch.block_fallback_steps, ch.spin_insts
     );
     println!(
         "data memo (host-side): {} hits, {} misses",

@@ -19,9 +19,10 @@ trap 'rm -f "$tmp_bench"' EXIT
 cargo bench -p flick-bench --bench simulator -- --samples 1 --json "$tmp_bench"
 cargo run --release -p flick-bench --bin bench_gate -- BENCH_simulator.json "$tmp_bench"
 
-# Block-lane differential smoke: the chaining suite proves step vs
-# block vs chained engines bit-identical (timing, stats, faults) in
-# release across all three ISAs, every fuel cutoff, SMC rewriting a
+# Block-lane differential smoke: the chaining suite proves the block
+# lane (chaining and spin tier included) bit-identical to the step
+# path (timing, stats, faults) in release across all three ISAs, every
+# fuel cutoff, random and truncated garbage text, SMC rewriting a
 # chained successor mid-loop, CR3 reloads between quanta, and the data
 # memo over mixed page sizes, holes and protect; the fast-path suite
 # proves the same through the whole machine, chaos seeds included.

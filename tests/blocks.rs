@@ -1,16 +1,17 @@
 //! Differential proof that the basic-block execution engine is a pure
 //! host-side optimization at the **core** level: a `Core` with the fast
 //! path disabled steps one instruction at a time through the full
-//! fetch→translate→decode→execute path; with it enabled the core
-//! replays decoded superblocks, and with block *chaining* enabled on
-//! top it follows patched successor links (and spins batched self-loop
-//! iterations) without returning to top-level dispatch. All three
-//! engines must agree bit-for-bit on the simulated clock, cycle count,
-//! every counter, the PC, all registers and the stop reason — for
-//! random programs, at every fuel cutoff, across faults raised
-//! mid-block, self-modifying text (including text a live chain points
-//! at), page-spanning instructions and TLB/CR3 invalidations, on all
-//! three ISAs. The block lane's data memo is held to the same bar over
+//! fetch→translate→decode→execute path (the reference); with it enabled
+//! the core runs the block lane, which replays decoded superblocks,
+//! follows patched successor links without returning to top-level
+//! dispatch, and spins charge-free self-loops through pre-lowered
+//! micro-ops. The two engines must agree bit-for-bit on the simulated
+//! clock, cycle count, every counter, the PC, all registers and the
+//! stop reason — for random programs and random bytes, at every fuel
+//! cutoff, across faults raised mid-block, undecodable or truncated
+//! text, self-modifying text (including text a live chain points at),
+//! page-spanning instructions and TLB/CR3 invalidations, on all three
+//! ISAs. The block lane's data memo is held to the same bar over
 //! a window of 4 KiB, 2 MiB and 1 GiB pages, through D-TLB eviction,
 //! page-spanning accesses, `protect`, MMU holes and stores into text.
 //!
@@ -57,20 +58,18 @@ fn fixture(target: TargetIsa, bytes: &[u8]) -> (PhysMem, PhysAddr) {
     (mem, cr3)
 }
 
-/// The engine variants every differential runs: blocks with chaining
-/// (the production default), blocks without chaining, and the pure
-/// step path. Chaining without the block engine is meaningless, so
-/// `(false, true)` is not a configuration.
-const ENGINES: [(bool, bool); 3] = [(true, true), (true, false), (false, false)];
+/// The engines every differential runs, as `fast_path` settings: the
+/// block lane (the production default), then the step path it must
+/// match. The reference comes last.
+const ENGINES: [bool; 2] = [true, false];
 
-fn core_for(target: TargetIsa, (fast_path, chain): (bool, bool), cr3: PhysAddr) -> Core {
+fn core_for(target: TargetIsa, fast_path: bool, cr3: PhysAddr) -> Core {
     let mut cfg = if target == TargetIsa::Host {
         CoreConfig::host()
     } else {
         CoreConfig::accel(target)
     };
     cfg.fast_path = fast_path;
-    cfg.chain = chain;
     let mut core = Core::new(cfg);
     core.set_cr3(cr3);
     core.set_pc(VirtAddr(TEXT));
@@ -106,25 +105,24 @@ fn snap(stop: StopReason, core: &Core) -> Snap {
     }
 }
 
-/// Runs `bytes` on both engine variants with the given fuel and asserts
-/// the snapshots are identical; returns one of them for further checks.
+/// Runs `bytes` on both engines with the given fuel and asserts the
+/// snapshots are identical; returns one of them for further checks.
 fn diff_run(target: TargetIsa, bytes: &[u8], fuel: u64, label: &str) -> Snap {
-    let mut snaps = Vec::new();
-    for engine in ENGINES {
+    diff_run_at(target, bytes, 0, fuel, label)
+}
+
+/// [`diff_run`] entering the text at byte offset `entry` instead of its
+/// start.
+fn diff_run_at(target: TargetIsa, bytes: &[u8], entry: u64, fuel: u64, label: &str) -> Snap {
+    let [blocks, step] = ENGINES.map(|engine| {
         let (mut mem, cr3) = fixture(target, bytes);
         let mut core = core_for(target, engine, cr3);
+        core.set_pc(VirtAddr(TEXT + entry));
         let stop = core.run(&mut mem, &MemEnv::paper_default(), fuel);
-        snaps.push(snap(stop, &core));
-    }
-    let step = snaps.pop().unwrap();
-    let blocks = snaps.pop().unwrap();
-    let chained = snaps.pop().unwrap();
+        snap(stop, &core)
+    });
     assert_eq!(blocks, step, "{label}: block vs step diverged at fuel {fuel}");
-    assert_eq!(
-        chained, step,
-        "{label}: chained vs step diverged at fuel {fuel}"
-    );
-    chained
+    blocks
 }
 
 const ALL_ALU: [AluOp; 13] = [
@@ -213,15 +211,25 @@ fn encode(target: TargetIsa, insts: &[Inst]) -> Vec<u8> {
     isa_of(target).encode(&f.finish()).unwrap().bytes
 }
 
+fn random_bytes(rng: &mut Xoshiro256, len: u64) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
 /// Random programs, all three ISAs, several fuel cutoffs each —
 /// including cutoffs that land mid-block and past the program's
-/// natural stop.
+/// natural stop. Then the same for garbage text: random bytes, half of
+/// them with an encoded random program spliced in at a fetch-aligned
+/// offset (illegal encodings, garbage operands, text that turns into
+/// garbage mid-stream), and encoded programs that run into random bytes
+/// across the end of the text page (decodes truncated at the page
+/// edge).
 #[test]
 fn random_programs_step_vs_block_identical() {
+    const TARGETS: [TargetIsa; 3] = [TargetIsa::Host, TargetIsa::Nxp, TargetIsa::Arm64];
     let mut rng = Xoshiro256::seeded(0xb10c_0001);
     for case in 0..48 {
         let n = rng.gen_range(1, 48);
-        for target in [TargetIsa::Host, TargetIsa::Nxp, TargetIsa::Arm64] {
+        for target in TARGETS {
             let insts: Vec<Inst> = (0..n).map(|_| arb_inst(&mut rng)).collect();
             let bytes = encode(target, &insts);
             let extra = rng.gen_range(1, n + 1);
@@ -230,6 +238,62 @@ fn random_programs_step_vs_block_identical() {
             }
         }
     }
+
+    let mut rng = Xoshiro256::seeded(0xb10c_0002);
+    for case in 0..48 {
+        for target in TARGETS {
+            let align = isa_of(target).fetch_align();
+            let len = rng.gen_range(1, 256);
+            let mut bytes = random_bytes(&mut rng, len);
+            // Pure garbage is entered at its first byte, a spliced
+            // program at its own first instruction.
+            let mut entry = 0;
+            if rng.gen_bool(0.5) {
+                let n = rng.gen_range(1, 24);
+                let insts: Vec<Inst> = (0..n).map(|_| arb_inst(&mut rng)).collect();
+                entry = rng.gen_range(0, len + 1) & !(align - 1);
+                let tail = bytes.split_off(entry as usize);
+                bytes.extend(encode(target, &insts));
+                bytes.extend(tail);
+            }
+            for fuel in [0, 1, 2, 3, 7, 64, 10_000] {
+                let label = format!("garbage case {case} {target:?}");
+                diff_run_at(target, &bytes, entry, fuel, &label);
+            }
+        }
+    }
+
+    let mut rng = Xoshiro256::seeded(0xb10c_0003);
+    let mut at_edge = 0;
+    for case in 0..48 {
+        for target in TARGETS {
+            let align = isa_of(target).fetch_align();
+            let n = rng.gen_range(1, 24);
+            let insts: Vec<Inst> = (0..n).map(|_| arb_inst(&mut rng)).collect();
+            let text = encode(target, &insts);
+            // End the program 0..16 bytes short of the page edge, then
+            // let garbage run on into the next page.
+            let gap = rng.gen_range(0, 16);
+            let entry = (0x1000 - gap - text.len() as u64) & !(align - 1);
+            let mut bytes = vec![0u8; entry as usize];
+            bytes.extend(text);
+            let garbage = 0x1000 + 32 - bytes.len() as u64;
+            bytes.extend(random_bytes(&mut rng, garbage));
+            for fuel in [1, 3, n - 1, n, n + 1, n + 4, 10_000] {
+                let label = format!("page-edge garbage case {case} {target:?}");
+                let s = diff_run_at(target, &bytes, entry, fuel, &label);
+                if fuel == 10_000 && s.pc >= TEXT + 0x1000 - 16 {
+                    at_edge += 1;
+                }
+            }
+        }
+    }
+    // Most programs fault on a random load first; enough must get
+    // through to the page edge for the cases to mean anything.
+    assert!(
+        at_edge >= 10,
+        "only {at_edge} page-edge cases reached the edge"
+    );
 }
 
 /// The bench interpreter loop (4-instruction blocks ending in a taken
@@ -257,6 +321,12 @@ fn tight_loop_identical_at_every_fuel_cutoff() {
         }
         // 1 li + 12 iterations of 4 + halt.
         assert_eq!(halted, Some(50), "{target:?}: loop retired a wrong count");
+        // The block lane retires the self-loop through the spin tier.
+        let (mut mem, cr3) = fixture(target, &bytes);
+        let mut core = core_for(target, true, cr3);
+        core.run(&mut mem, &MemEnv::paper_default(), u64::MAX);
+        let spun = core.chain_counters().spin_insts;
+        assert!(spun > 0, "{target:?}: self-loop never spun");
     }
 }
 
