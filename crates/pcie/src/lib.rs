@@ -221,12 +221,6 @@ impl DmaEngine {
         self.to_nxp.front().is_some_and(|d| d.arrival <= now)
     }
 
-    /// Earliest arrival time of a pending host→NxP descriptor, if any —
-    /// used by the simulation to fast-forward an idle poll loop.
-    pub fn next_nxp_arrival(&self) -> Option<Picos> {
-        self.to_nxp.front().map(|d| d.arrival)
-    }
-
     /// Pops the next host→NxP descriptor if it has arrived by `now`.
     pub fn poll_nxp(&mut self, now: Picos) -> Option<Vec<u8>> {
         if self.status_nxp(now) {
@@ -480,27 +474,6 @@ impl InterruptController {
         fate
     }
 
-    /// Pops the next interrupt deliverable at or before `now`.
-    pub fn take_due(&mut self, now: Picos) -> Option<Msi> {
-        if self.pending.front().is_some_and(|m| m.at <= now) {
-            self.pending.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Pops the earliest interrupt on `vector` deliverable at or before
-    /// `now`, leaving other vectors' interrupts queued — how a
-    /// per-channel IRQ handler claims its own wake-ups on a machine
-    /// with several NxP channels.
-    pub fn take_due_vector(&mut self, now: Picos, vector: u32) -> Option<Msi> {
-        let idx = self
-            .pending
-            .iter()
-            .position(|m| m.at <= now && m.vector == vector)?;
-        self.pending.remove(idx)
-    }
-
     /// Removes the interrupt on `vector` raised for delivery at exactly
     /// `at`, leaving every other entry queued. A waiter that recorded
     /// its own MSI's arrival instant at raise time claims precisely
@@ -522,11 +495,6 @@ impl InterruptController {
         let before = self.pending.len();
         self.pending.retain(|m| m.vector != vector);
         before - self.pending.len()
-    }
-
-    /// Earliest pending delivery time, if any.
-    pub fn next_due(&self) -> Option<Picos> {
-        self.pending.front().map(|m| m.at)
     }
 
     /// Number of undelivered interrupts.
@@ -611,8 +579,7 @@ mod tests {
         irq.raise(Msi { vector: 1, at: Picos::from_nanos(3) });
         assert_eq!(irq.purge_vector(1), 2);
         assert_eq!(irq.pending(), 1);
-        let left = irq.take_due(Picos::from_nanos(9)).unwrap();
-        assert_eq!(left.vector, 0);
+        assert!(irq.take_vector_at(Picos::from_nanos(1), 0).is_some());
         assert_eq!(irq.purge_vector(7), 0);
     }
 
@@ -838,18 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn take_due_vector_leaves_other_vectors() {
-        let mut ic = InterruptController::new();
-        ic.raise(Msi { vector: 1, at: Picos::from_nanos(10) });
-        ic.raise(Msi { vector: 0, at: Picos::from_nanos(20) });
-        let now = Picos::from_nanos(30);
-        assert_eq!(ic.take_due_vector(now, 0).unwrap().at, Picos::from_nanos(20));
-        assert_eq!(ic.pending(), 1);
-        assert_eq!(ic.take_due_vector(now, 0), None);
-        assert_eq!(ic.take_due_vector(now, 1).unwrap().at, Picos::from_nanos(10));
-    }
-
-    #[test]
     fn take_vector_at_claims_only_the_exact_instant() {
         let mut ic = InterruptController::new();
         // Two waiters on one channel: an earlier and a later MSI.
@@ -869,24 +824,5 @@ mod tests {
             Picos::from_nanos(10)
         );
         assert_eq!(ic.pending(), 0);
-    }
-
-    #[test]
-    fn irq_controller_orders_by_time() {
-        let mut ic = InterruptController::new();
-        ic.raise(Msi {
-            vector: 0,
-            at: Picos::from_nanos(50),
-        });
-        ic.raise(Msi {
-            vector: 1,
-            at: Picos::from_nanos(10),
-        });
-        assert_eq!(ic.pending(), 2);
-        assert_eq!(ic.next_due(), Some(Picos::from_nanos(10)));
-        assert_eq!(ic.take_due(Picos::from_nanos(5)), None);
-        assert_eq!(ic.take_due(Picos::from_nanos(60)).unwrap().vector, 1);
-        assert_eq!(ic.take_due(Picos::from_nanos(60)).unwrap().vector, 0);
-        assert_eq!(ic.take_due(Picos::from_nanos(60)), None);
     }
 }

@@ -117,9 +117,6 @@ pub struct ServingScenario {
     pub placement: NxpPlacement,
     /// Preemption quantum in instructions.
     pub quantum: u64,
-    /// Simulated-time ring-occupancy admission control
-    /// (see `MachineBuilder::ring_occupancy_admission`).
-    pub ring_admission: bool,
     /// Record migration spans and per-stage latency histograms.
     pub observability: bool,
     /// Record the full event trace (needed for the Perfetto timeline
@@ -143,7 +140,6 @@ impl Default for ServingScenario {
             nxp_isas: vec![IsaId::Rv64, IsaId::Arm64, IsaId::Rv64, IsaId::Arm64],
             placement: NxpPlacement::RoundRobin,
             quantum: 50_000,
-            ring_admission: true,
             observability: false,
             trace: false,
         }
@@ -419,7 +415,6 @@ pub fn build_serving_fleet(cfg: &ServingScenario) -> Result<(Machine, Vec<u64>),
         .nxp_isas(cfg.nxp_isas.clone())
         .nxp_placement(cfg.placement)
         .observability(cfg.observability)
-        .ring_occupancy_admission(cfg.ring_admission)
         .kernel_config(flick_os::KernelConfig {
             host_stack_bytes: 64 << 10,
             ..Default::default()

@@ -49,10 +49,13 @@ echo "topology smoke matrix: 4 configurations ok"
 
 # Failover chaos smoke: the dedicated suite soaks 12 seeds of combined
 # link + device chaos in release (crash/hang/unplug/rejoin must be
-# result-invisible with a balanced task census), then the example
+# result-invisible with a balanced task census), the error-path suite
+# pins the single-failover counters (replacement, re-execution, a
+# second survivor dying before its kick) beside it, then the example
 # drives 8 more seeds end to end — it asserts its results against a
 # fault-free twin internally.
 cargo test -q --release --test failover
+cargo test -q --release --test error_paths
 for seed in 1 2 3 4 5 6 7 8; do
     cargo run --release --example failover -- "$seed" > /dev/null
 done

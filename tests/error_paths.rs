@@ -434,6 +434,32 @@ fn crash_mid_call_reexecutes_on_survivor() {
 }
 
 #[test]
+fn reexecution_moves_past_a_second_dead_survivor() {
+    // NxP 0 crashes mid-leg and NxP 1 is unplugged before the
+    // watchdog-driven re-execution kicks it: the send loop detects the
+    // second death at the doorbell and moves on to NxP 2.
+    let topo = Topology::new(1, 3);
+    let (_, clean) = run_faulty_topo(topo, FaultPlan::none(), spin_call(4_000));
+    let clean = clean.expect("clean run");
+    let mid = Picos::from_nanos(clean.sim_time.as_nanos() / 2);
+    let down = |nxp, kind| DeviceEvent {
+        nxp,
+        kind,
+        at: mid,
+        rejoin_at: None,
+    };
+    let plan = FaultPlan::none()
+        .with_device_event(down(0, DeviceFaultKind::Crash))
+        .with_device_event(down(1, DeviceFaultKind::Unplug));
+    let (m, out) = run_faulty_topo(topo, plan, spin_call(4_000));
+    let out = out.expect("failover run completes");
+    assert_eq!(out.exit_code, clean.exit_code);
+    assert_eq!(m.stats().get("failover_reexecutions"), 2);
+    assert_eq!(m.stats().get("nxp_deaths"), 2);
+    assert_eq!(out.stats.get("migrations_degraded"), 0);
+}
+
+#[test]
 fn nxp_death_during_link_outage_fails_over() {
     // Double failure on one delivery: the first kicks are eaten by the
     // link, and by the time the driver retries the device itself is
