@@ -782,7 +782,7 @@ impl Machine {
 
     /// Fleet-wide fold of every core's host-side chain-efficacy
     /// tallies (hits, patches, breaks, fallback steps, data-memo hits
-    /// and misses). Host-only
+    /// and misses, spin-tier instructions, block builds). Host-only
     /// telemetry: deliberately *not* part of [`stats`](Self::stats) or
     /// [`per_core_stats`](Self::per_core_stats), whose contents the
     /// differential suites compare bit-for-bit across engine configs.
@@ -802,6 +802,7 @@ impl Machine {
             total.data_memo_hits += ch.data_memo_hits;
             total.data_memo_misses += ch.data_memo_misses;
             total.spin_insts += ch.spin_insts;
+            total.block_builds += ch.block_builds;
         }
         total
     }

@@ -127,8 +127,8 @@ pub struct CoreConfig {
     /// pages, so control returning to host text hands execution back to
     /// the native core.
     pub emulates_foreign_isa: bool,
-    /// Enables the host-side decoded-instruction cache (see
-    /// [`DecodedCache`]). Purely a host wall-clock optimization: the
+    /// Enables the host-side block lane and its decoded-block store
+    /// (see [`DecodedCache`]). Purely a host wall-clock optimization: the
     /// simulated clocks, stats, and traces are bit-identical either way
     /// (enforced by `tests/fastpath.rs`). On by default; switched off by
     /// the differential tests.
@@ -398,6 +398,10 @@ pub struct ChainCounters {
     /// charge-free, memory-free self-loop) rather than by the block
     /// executor or the step path.
     pub spin_insts: u64,
+    /// Blocks decoded into the core's block store (store misses that
+    /// built a block); a text write that clears the store makes the
+    /// next pass rebuild.
+    pub block_builds: u64,
 }
 
 impl ChainCounters {
@@ -414,6 +418,7 @@ impl ChainCounters {
             ("data_memo_hits", self.data_memo_hits),
             ("data_memo_misses", self.data_memo_misses),
             ("spin_insts", self.spin_insts),
+            ("block_builds", self.block_builds),
         ] {
             if v != 0 {
                 s.bump_by(name, v);
@@ -522,13 +527,13 @@ pub struct Core {
     counters: CoreCounters,
     chain: ChainCounters,
     decoded: DecodedCache,
-    /// Small front cache over [`DecodedCache`]'s block store: the most
+    /// Small front cache over the [`DecodedCache`] block store: the most
     /// recently executed blocks, keyed by physical start address and
     /// the text generation each was decoded under. Hot loops cycle
     /// through a handful of blocks (a loop body split by its branch is
-    /// already two); hitting here skips the basket lookup and all `Arc`
+    /// already two); hitting here skips the map probe and all `Arc`
     /// reference traffic (the block is *moved* out and back). Misses
-    /// fall through to the shared cache and land in round-robin order.
+    /// fall through to the store and land in round-robin order.
     last_blocks: [Option<(u64, u64, Arc<DecodedBlock>)>; FRONT_BLOCKS],
     /// Round-robin insert cursor for `last_blocks`.
     front_cursor: u8,
@@ -640,8 +645,8 @@ impl Core {
     }
 
     /// Loads a new page-table base, flushing both TLBs (as a CR3 write
-    /// does). The decoded-instruction cache survives: it is keyed by
-    /// *physical* address and every cached page is watched in `PhysMem`,
+    /// does). The decoded-block store survives: it is keyed by
+    /// *physical* address and every decoded page is watched in `PhysMem`,
     /// so translation changes cannot alias it and text changes bump the
     /// generation it validates against. (Clearing it here used to cost
     /// migration-heavy workloads a full re-decode per context switch.)
@@ -653,10 +658,10 @@ impl Core {
     }
 
     /// Flushes both TLBs without changing CR3 (mprotect shootdown). As
-    /// with [`set_cr3`](Self::set_cr3) the decoded cache is untouched:
+    /// with [`set_cr3`](Self::set_cr3) the block store is untouched:
     /// permission changes are enforced by the fetch path (the fetch memo
     /// is dropped here, so the next fetch re-walks and re-checks NX),
-    /// not by the PA-keyed decode memo.
+    /// not by the PA-keyed block store.
     pub fn flush_tlbs(&mut self) {
         self.itlb.flush();
         self.dtlb.flush();
@@ -919,19 +924,16 @@ impl Core {
         Ok(Some(pa))
     }
 
-    /// Reads instruction bytes at the current PC, handling page-spanning
-    /// instructions.
+    /// Reads and decodes the instruction bytes at the current PC,
+    /// handling page-spanning instructions. There is no decode memo: the
+    /// step path retires only what the block lane declines, so it
+    /// decodes from bytes every time.
     ///
     /// Simulated-time charging (`translate_exec`, `charge_fetch`) runs
-    /// unconditionally; the fast path only short-circuits the host-side
-    /// byte read + decode, which are deterministic functions of the text
-    /// bytes. That is why fast-path on/off cannot change simulated
-    /// clocks, stats, or traces.
-    fn fetch_decode(
-        &mut self,
-        mem: &mut PhysMem,
-        env: &MemEnv,
-    ) -> Result<(Inst, u64), Exception> {
+    /// unconditionally; the fast path only skips the I-TLB probe and
+    /// same-line I-cache probe through the fetch memo ([`FetchFrame`]),
+    /// which is invisible to simulated clocks, stats, and traces.
+    fn fetch_decode(&mut self, mem: &PhysMem, env: &MemEnv) -> Result<(Inst, u64), Exception> {
         let pc = self.pc;
         let pa = match self.fetch_frame_translate(pc, env)? {
             Some(pa) => pa,
@@ -951,27 +953,12 @@ impl Core {
                 pa
             }
         };
-        if self.cfg.fast_path {
-            if let Some((inst, len)) = self.decoded.get(pa, mem.text_gen()) {
-                return Ok((inst, len as u64));
-            }
-        }
         let in_page = (PAGE_SIZE - pc.page_offset()) as usize;
         let avail = in_page.min(16);
         let mut buf = [0u8; 16];
         mem.read_bytes(pa, &mut buf[..avail]);
         match self.cfg.isa.decode(&buf[..avail]) {
-            Ok((inst, len)) => {
-                // The decode succeeded within this page (len <= avail),
-                // so it is safe to memoize; page-spanning instructions
-                // take the branch below and are never cached (their
-                // next-page translation and fetch charge must replay).
-                if self.cfg.fast_path {
-                    mem.watch_text(pa);
-                    self.decoded.put(pa, inst, len as u8);
-                }
-                Ok((inst, len as u64))
-            }
+            Ok((inst, len)) => Ok((inst, len as u64)),
             Err(DecodeError::Truncated) if avail < 16 => {
                 // Instruction spans a page boundary: fetch from the next
                 // page (with full permission checks there). The extra
@@ -1471,7 +1458,7 @@ impl Core {
         // offset (page and generation are lane constants, so the short
         // key suffices). Chain follows hit here with a 4-entry scan and
         // *move* the Arc out — steady-state loops do no reference
-        // counting and never touch the shared baskets. Everything is
+        // counting and never probe the block store. Everything is
         // written back at lane exit. Stale-generation front entries are
         // dropped on the way in (the generation only grows); entries
         // for other pages stay put.
@@ -1669,8 +1656,8 @@ impl Core {
     }
 
     /// Resolves the decoded block starting at page offset `off` of the
-    /// lane's (validated) frame: shared-cache lookup, else a fresh
-    /// decode, watched and published. `None` when not even the first
+    /// lane's (validated) frame: store lookup, else a fresh decode,
+    /// watched and published. `None` when not even the first
     /// instruction decodes into a block.
     fn lookup_or_build(
         &mut self,
@@ -1684,6 +1671,7 @@ impl Core {
             return Some(b);
         }
         let b = Arc::new(self.build_block(pa_page, off as u64, mem)?);
+        self.chain.block_builds += 1;
         mem.watch_text(pa);
         self.decoded.put_block(pa, Arc::clone(&b));
         Some(b)
@@ -1835,8 +1823,8 @@ impl Core {
     /// - A **store** that bumps the text generation (self-modifying
     ///   code into any watched frame) ends the block after the store
     ///   retires; the next `block_step` misses on the stale generation
-    ///   and re-decodes fresh bytes, which is precisely what the
-    ///   per-instruction `DecodedCache::get` does.
+    ///   and re-decodes fresh bytes, exactly as the step path decodes
+    ///   them.
     ///
     /// `Ok(true)` means the block *completed*: every instruction
     /// retired, so the PC is wherever the final transfer (or

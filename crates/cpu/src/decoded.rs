@@ -1,29 +1,29 @@
-//! Decoded-instruction cache: the host-side fast path through
+//! Decoded-block store: the host-side fast path through
 //! fetch/translate/decode.
 //!
 //! Interpreter fetch pays, per simulated instruction, a 16-byte
 //! `PhysMem` read plus a full byte-level re-decode of bytes that almost
-//! never change. This cache memoizes the decoder's output keyed by
-//! *physical* address — per-page baskets of `(offset → (Inst, len))`
-//! slots, after terminus's `ICache`/`ICacheBasket` — so a hot loop
-//! fetches at array-index speed. Baskets also record [`DecodedBlock`]s:
-//! straight-line instruction runs the core's block-execution loop
-//! replays without re-entering fetch or dispatch per instruction (see
-//! `Core::run` in [`core_`](crate::core_)).
+//! never change. Each core therefore keeps one map from *physical*
+//! address to [`DecodedBlock`]: a straight-line instruction run the
+//! core's block-execution loop replays without re-entering fetch or
+//! dispatch per instruction (see `Core::run` in
+//! [`core_`](crate::core_)). There is no per-instruction memo: the step
+//! path retires a few percent of instructions at most and decodes them
+//! from bytes.
 //!
-//! Keying by physical address keeps the cache honest across address
-//! spaces: the same text frame decoded through two mappings shares one
-//! basket, and remaps cannot alias stale decodes. That key choice also
-//! means the cache needs exactly one invalidation mechanism — **text
-//! writes**: every cached page is marked *watched* in
+//! Keying by physical address keeps the store honest across address
+//! spaces: the same text frame decoded through two mappings shares its
+//! blocks, and remaps cannot alias stale decodes. That key choice also
+//! means the store needs exactly one invalidation mechanism — **text
+//! writes**: every page a block is built from is marked *watched* in
 //! [`PhysMem`](flick_mem::PhysMem); any write into a watched frame
-//! bumps the store's `text_gen`. [`DecodedCache::get`] compares that
-//! generation against its snapshot — one `u64` compare per fetch —
-//! and drops everything on mismatch. Self-modifying or reloaded code
+//! bumps the store's `text_gen`. [`DecodedCache::get_block`] compares
+//! that generation against its snapshot — one `u64` compare per probe
+//! — and drops every block on mismatch. Self-modifying or reloaded code
 //! is therefore never served stale.
 //!
 //! CR3 switches and TLB flushes/shootdowns deliberately do *not* touch
-//! the cache: decode is a pure function of text bytes, so translation
+//! the store: decode is a pure function of text bytes, so translation
 //! changes cannot invalidate a physically-keyed decode, and permission
 //! changes (mprotect NX flips) are enforced by the fetch path, which
 //! re-walks and re-checks on every fetch-frame fill. Keeping decodes
@@ -31,38 +31,24 @@
 //! at fast-path speed — each switch used to force a full re-decode of
 //! both processes' hot loops.
 //!
-//! Baskets are organised as hashed, 2-way set-associative sets: the
-//! page frame number is Fibonacci-hashed into a set index, and each set
-//! holds two baskets with LRU replacement. Direct mapping by `pfn %
-//! baskets` let two hot text pages a power-of-two stride apart ping-pong
-//! one basket and re-decode forever; the hash decorrelates strides and
-//! the second way absorbs the pathological pair.
+//! Nothing is evicted. The map holds at most one block per start
+//! offset of watched text, so its size is bounded by the text the core
+//! has executed since the last text write, and a core serving many
+//! tenants decodes each tenant's text once.
 //!
-//! The cache is purely a *host* optimization: hits and misses here are
+//! The store is purely a *host* optimization: hits and misses here are
 //! invisible to the simulated machine. Simulated I-TLB/I-cache charging
 //! still runs on every fetch, so clocks, stats, and traces are
-//! bit-identical with the cache on or off (`tests/fastpath.rs` and
+//! bit-identical with the fast path on or off (`tests/fastpath.rs` and
 //! `tests/blocks.rs` enforce this).
 
 use flick_isa::{AluOp, BranchOp, Inst, Target};
-use flick_mem::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
+use flick_mem::{PhysAddr, U64BuildHasher, PAGE_SIZE};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
 /// Successor-offset value meaning "no static successor on this edge".
 pub const NO_SUCC: u16 = u16::MAX;
-
-/// Number of basket sets. Conflicts only cost host time (re-decode on
-/// the next fetch), so a small power of two covering the text working
-/// set of both cores is enough.
-const SETS: usize = 32;
-
-/// Ways per set.
-const WAYS: usize = 2;
-
-/// Tag value meaning "basket holds no page".
-const NO_PAGE: u64 = u64::MAX;
-
-type Slot = Option<(Inst, u8)>;
 
 /// One pre-decoded instruction of a [`DecodedBlock`], with everything
 /// the block-execution loop needs resolved at decode time.
@@ -342,8 +328,10 @@ pub struct DecodedBlock {
     /// every hot loop is one — cannot keep invalidated blocks alive
     /// past a text_gen bump; `OnceLock` keeps the block `Sync`, so an
     /// `Arc<DecodedBlock>` inside a `Core` leaves `Machine` `Send`
-    /// (`tests/determinism.rs` runs machines on several OS threads). An upgrade failure (the successor's basket was
-    /// evicted) degrades to a shared-cache lookup on that follow.
+    /// (`tests/determinism.rs` runs machines on several OS threads).
+    /// The store never evicts, so a link dies only when a text write
+    /// clears the store; an upgrade failure then degrades to a store
+    /// lookup on that follow.
     pub links: [OnceLock<Weak<DecodedBlock>>; 2],
     /// The block pre-lowered to spin micro-ops ([`SpinOp`]), parallel
     /// to `insts`, or empty when any instruction falls outside the spin
@@ -363,157 +351,46 @@ impl DecodedBlock {
     /// Patches successor edge `idx`; returns true when this call did
     /// the patch. First writer wins — a dead `Weak` can never be
     /// replaced (`OnceLock` is write-once), so that edge degrades to a
-    /// cache lookup per follow, which is rare (it needs a basket
-    /// eviction under a live chain) and only costs host time.
+    /// store lookup per follow, which only costs host time (and needs a
+    /// text write that cleared the store under a live chain).
     #[inline]
     pub fn patch(&self, idx: usize, succ: &Arc<DecodedBlock>) -> bool {
         self.links[idx].set(Arc::downgrade(succ)).is_ok()
     }
 }
 
-/// One cached text page: decoded instructions and blocks by page offset.
-struct Basket {
-    /// Physical frame number this basket caches, or [`NO_PAGE`].
-    tag: u64,
-    /// One slot per byte offset (x64-style text places instructions at
-    /// arbitrary byte offsets).
-    slots: Vec<Slot>,
-    /// Decoded blocks by the page offset of their first instruction.
-    blocks: Vec<Option<Arc<DecodedBlock>>>,
-}
-
-impl Basket {
-    fn new() -> Self {
-        Basket {
-            tag: NO_PAGE,
-            slots: vec![None; PAGE_SIZE as usize],
-            blocks: vec![None; PAGE_SIZE as usize],
-        }
-    }
-}
-
-/// One associative set: its ways plus which way was used last (the
-/// other one is the eviction victim).
-struct BasketSet {
-    ways: [Option<Box<Basket>>; WAYS],
-    mru: u8,
-}
-
-/// Fibonacci hash of a page frame number into a set index. The
-/// multiplicative constant spreads arithmetic pfn progressions (text
-/// segments are contiguous, collisions used to be exact power-of-two
-/// strides) across the whole set array.
-fn set_of(pfn: u64) -> usize {
-    const SHIFT: u32 = u64::BITS - SETS.trailing_zeros();
-    (pfn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SHIFT) as usize
-}
-
-/// Physically-indexed decoded-instruction cache. See the module docs for
-/// keying and invalidation rules.
+/// Per-core decoded-block store, keyed by the physical address of each
+/// block's first instruction. See the module docs for keying and
+/// invalidation rules.
+#[derive(Default)]
 pub struct DecodedCache {
-    sets: Vec<BasketSet>,
-    /// `PhysMem::text_gen` snapshot the cached decodes were taken at.
+    blocks: HashMap<u64, Arc<DecodedBlock>, U64BuildHasher>,
+    /// `PhysMem::text_gen` snapshot the stored blocks were decoded at.
     gen: u64,
 }
 
-impl Default for DecodedCache {
-    fn default() -> Self {
-        DecodedCache::new()
-    }
-}
-
 impl DecodedCache {
-    /// Creates an empty cache. Baskets are allocated lazily, so idle
-    /// cores (the degraded-mode emulator until link death) cost nothing.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        let mut sets = Vec::with_capacity(SETS);
-        sets.resize_with(SETS, || BasketSet {
-            ways: [None, None],
-            mru: 0,
-        });
-        DecodedCache { sets, gen: 0 }
+        DecodedCache::default()
     }
 
-    /// Checks the generation snapshot; a mismatch (some watched frame
-    /// was written since) drops the whole cache and re-snapshots.
-    /// Returns false when the caller's lookup must miss.
-    fn check_gen(&mut self, text_gen: u64) -> bool {
+    /// Looks up the decoded block starting at physical address `pa`.
+    /// A `text_gen` other than the snapshot (some watched frame was
+    /// written since) drops every block, re-snapshots and misses.
+    pub fn get_block(&mut self, pa: PhysAddr, text_gen: u64) -> Option<Arc<DecodedBlock>> {
         if text_gen != self.gen {
             self.clear();
             self.gen = text_gen;
-            return false;
-        }
-        true
-    }
-
-    /// Finds the way holding `pfn` in its set and marks it
-    /// most-recently-used.
-    fn find(&mut self, pfn: u64) -> Option<&Basket> {
-        let set = &mut self.sets[set_of(pfn)];
-        let w = (0..WAYS)
-            .find(|&w| set.ways[w].as_ref().is_some_and(|b| b.tag == pfn))?;
-        set.mru = w as u8;
-        set.ways[w].as_deref()
-    }
-
-    /// Finds or claims the basket for `pfn`: a tag match, else an empty
-    /// way, else the LRU way (repurposed and scrubbed).
-    fn claim(&mut self, pfn: u64) -> &mut Basket {
-        let set = &mut self.sets[set_of(pfn)];
-        let w = (0..WAYS)
-            .find(|&w| set.ways[w].as_ref().is_some_and(|b| b.tag == pfn))
-            .or_else(|| (0..WAYS).find(|&w| set.ways[w].is_none()))
-            .unwrap_or(1 - set.mru as usize);
-        set.mru = w as u8;
-        let basket = set.ways[w].get_or_insert_with(|| Box::new(Basket::new()));
-        if basket.tag != pfn {
-            // Conflict (or first use): repurpose the basket.
-            basket.slots.fill(None);
-            basket.blocks.fill(None);
-            basket.tag = pfn;
-        }
-        basket
-    }
-
-    /// Looks up the decoded instruction at physical address `pa`,
-    /// validating against the current text generation.
-    pub fn get(&mut self, pa: PhysAddr, text_gen: u64) -> Option<(Inst, u8)> {
-        if !self.check_gen(text_gen) {
             return None;
         }
-        let basket = self.find(pa.as_u64() >> PAGE_SHIFT)?;
-        basket.slots[(pa.as_u64() & (PAGE_SIZE - 1)) as usize]
+        self.blocks.get(&pa.as_u64()).cloned()
     }
 
-    /// Records a decode result. The caller must have called [`get`]
-    /// with the current generation this fetch (so the snapshot is
-    /// up to date) and must not cache page-spanning instructions —
-    /// their second-page translation and fetch charge must replay on
-    /// every execution.
-    ///
-    /// [`get`]: DecodedCache::get
-    pub fn put(&mut self, pa: PhysAddr, inst: Inst, len: u8) {
-        debug_assert!(
-            (pa.as_u64() & (PAGE_SIZE - 1)) + len as u64 <= PAGE_SIZE,
-            "page-spanning instructions are not cacheable"
-        );
-        let basket = self.claim(pa.as_u64() >> PAGE_SHIFT);
-        basket.slots[(pa.as_u64() & (PAGE_SIZE - 1)) as usize] = Some((inst, len));
-    }
-
-    /// Looks up the decoded block starting at physical address `pa`,
-    /// with the same generation validation as [`get`](Self::get).
-    pub fn get_block(&mut self, pa: PhysAddr, text_gen: u64) -> Option<Arc<DecodedBlock>> {
-        if !self.check_gen(text_gen) {
-            return None;
-        }
-        let basket = self.find(pa.as_u64() >> PAGE_SHIFT)?;
-        basket.blocks[(pa.as_u64() & (PAGE_SIZE - 1)) as usize].clone()
-    }
-
-    /// Records a decoded block starting at `pa`. Same caller contract
-    /// as [`put`](Self::put): the generation snapshot must be current,
-    /// and the block must lie entirely within one page.
+    /// Records a decoded block starting at `pa`. The caller must have
+    /// called [`get_block`](Self::get_block) with the current
+    /// generation (so the snapshot is up to date), and the block must
+    /// lie entirely within one page.
     pub fn put_block(&mut self, pa: PhysAddr, block: Arc<DecodedBlock>) {
         debug_assert!(!block.insts.is_empty(), "blocks are never empty");
         // Superblocks decode through direct jumps, so offsets are not
@@ -533,33 +410,18 @@ impl DecodedCache {
                 .all(|&s| s == NO_SUCC || (s as u64) < PAGE_SIZE),
             "successor offsets must lie within the page"
         );
-        let basket = self.claim(pa.as_u64() >> PAGE_SHIFT);
-        basket.blocks[(pa.as_u64() & (PAGE_SIZE - 1)) as usize] = Some(block);
+        self.blocks.insert(pa.as_u64(), block);
     }
 
-    /// Drops every cached decode (CR3 switch, TLB flush/shootdown).
-    /// O(sets): slots and blocks are lazily scrubbed when a basket is
-    /// reused.
+    /// Drops every stored block.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for b in set.ways.iter_mut().flatten() {
-                b.tag = NO_PAGE;
-            }
-        }
+        self.blocks.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flick_isa::Reg;
-
-    fn inst(i: u64) -> Inst {
-        Inst::Li {
-            rd: Reg::new(1),
-            imm: i as i64,
-        }
-    }
 
     fn block(off: u16) -> Arc<DecodedBlock> {
         Arc::new(DecodedBlock {
@@ -579,97 +441,50 @@ mod tests {
         })
     }
 
-    /// Three pfns that hash into the same set (sharing one set of two
-    /// ways forces an eviction on the third).
-    fn colliding_pfns() -> [u64; 3] {
-        let first = 1u64;
-        let mut found = [first; 3];
-        let mut n = 1;
-        let mut pfn = first + 1;
-        while n < 3 {
-            if set_of(pfn) == set_of(first) {
-                found[n] = pfn;
-                n += 1;
-            }
-            pfn += 1;
-        }
-        found
+    #[test]
+    fn block_round_trip() {
+        let mut c = DecodedCache::new();
+        let pa = PhysAddr(0x40_0010);
+        assert!(c.get_block(pa, 0).is_none());
+        let b = block(0x10);
+        c.put_block(pa, Arc::clone(&b));
+        assert!(Arc::ptr_eq(&c.get_block(pa, 0).unwrap(), &b));
+        assert!(c.get_block(PhysAddr(0x40_0011), 0).is_none());
+        assert!(c.get_block(PhysAddr(0x41_0010), 0).is_none());
     }
 
     #[test]
-    fn hit_after_put() {
+    fn generation_bump_drops_every_block() {
         let mut c = DecodedCache::new();
-        assert_eq!(c.get(PhysAddr(0x40_0010), 0), None);
-        c.put(PhysAddr(0x40_0010), inst(7), 10);
-        assert_eq!(c.get(PhysAddr(0x40_0010), 0), Some((inst(7), 10)));
-        assert_eq!(c.get(PhysAddr(0x40_0011), 0), None);
-    }
-
-    #[test]
-    fn generation_bump_invalidates_everything() {
-        let mut c = DecodedCache::new();
-        c.get(PhysAddr(0x1000), 0);
-        c.put(PhysAddr(0x1000), inst(1), 4);
-        c.put(PhysAddr(0x2000), inst(2), 4);
+        c.get_block(PhysAddr(0x1000), 0);
         c.put_block(PhysAddr(0x1000), block(0));
-        assert_eq!(c.get(PhysAddr(0x1000), 1), None, "stale gen must miss");
-        assert_eq!(c.get(PhysAddr(0x2000), 1), None);
-        assert!(c.get_block(PhysAddr(0x1000), 1).is_none());
+        c.put_block(PhysAddr(0x2008), block(8));
+        assert!(
+            c.get_block(PhysAddr(0x1000), 1).is_none(),
+            "stale gen must miss"
+        );
+        assert!(c.get_block(PhysAddr(0x2008), 1).is_none());
         // Re-populated under the new generation.
-        c.put(PhysAddr(0x1000), inst(3), 4);
-        assert_eq!(c.get(PhysAddr(0x1000), 1), Some((inst(3), 4)));
+        c.put_block(PhysAddr(0x1000), block(0));
+        assert!(c.get_block(PhysAddr(0x1000), 1).is_some());
+        assert!(c.get_block(PhysAddr(0x2008), 1).is_none());
     }
 
     #[test]
-    fn two_conflicting_pages_coexist() {
-        // The direct-mapped layout thrashed here: two pages in one set
-        // ping-ponged a single basket. Two ways absorb the pair.
+    fn thousand_distinct_pages_all_retained() {
+        // The store has no capacity bound: a large text footprint must
+        // not evict anything.
         let mut c = DecodedCache::new();
-        let [p0, p1, _] = colliding_pfns();
-        let a = PhysAddr(p0 << PAGE_SHIFT);
-        let b = PhysAddr(p1 << PAGE_SHIFT);
-        c.get(a, 0);
-        c.put(a, inst(1), 4);
-        c.put(b, inst(2), 4);
-        assert_eq!(c.get(a, 0), Some((inst(1), 4)), "both ways live");
-        assert_eq!(c.get(b, 0), Some((inst(2), 4)));
-    }
-
-    #[test]
-    fn third_conflicting_page_evicts_lru_cleanly() {
-        let mut c = DecodedCache::new();
-        let [p0, p1, p2] = colliding_pfns();
-        let a = PhysAddr(p0 << PAGE_SHIFT);
-        let b = PhysAddr(p1 << PAGE_SHIFT);
-        let d = PhysAddr(p2 << PAGE_SHIFT);
-        c.get(a, 0);
-        c.put(a, inst(1), 4);
-        c.put(b, inst(2), 4);
-        c.get(a, 0); // touch a: b becomes LRU
-        c.put(d, inst(3), 4); // evicts b
-        assert_eq!(c.get(b, 0), None, "LRU page evicted by the third");
-        assert_eq!(c.get(a, 0), Some((inst(1), 4)));
-        assert_eq!(c.get(d, 0), Some((inst(3), 4)));
-        // And the offsets from the old page must not leak into the new.
-        assert_eq!(c.get(PhysAddr(d.as_u64() + 8), 0), None);
-        c.put(b, inst(4), 4);
-        assert_eq!(c.get(PhysAddr(b.as_u64() + 8), 0), None);
-    }
-
-    #[test]
-    fn blocks_follow_basket_eviction() {
-        let mut c = DecodedCache::new();
-        let [p0, p1, p2] = colliding_pfns();
-        let a = PhysAddr(p0 << PAGE_SHIFT);
-        c.get_block(a, 0);
-        c.put_block(a, block(0));
-        c.put_block(PhysAddr(p1 << PAGE_SHIFT), block(0));
-        c.put_block(PhysAddr((p2 << PAGE_SHIFT) + 16), block(16));
-        // `a` was LRU after the second put; the third evicted it.
-        assert!(c.get_block(a, 0).is_none(), "block evicted with basket");
-        assert!(c
-            .get_block(PhysAddr((p2 << PAGE_SHIFT) + 16), 0)
-            .is_some());
+        c.get_block(PhysAddr(0), 0);
+        for page in 0..1000u64 {
+            c.put_block(PhysAddr(page * PAGE_SIZE + 4), block(4));
+        }
+        for page in 0..1000u64 {
+            assert!(
+                c.get_block(PhysAddr(page * PAGE_SIZE + 4), 0).is_some(),
+                "page {page} evicted"
+            );
+        }
     }
 
     #[test]
@@ -692,13 +507,18 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_all() {
+    fn clear_kills_links_into_the_store() {
         let mut c = DecodedCache::new();
-        c.get(PhysAddr(0x5000), 0);
-        c.put(PhysAddr(0x5000), inst(9), 2);
-        c.put_block(PhysAddr(0x5000), block(0));
+        let a = block(0);
+        c.get_block(PhysAddr(0x5000), 0);
+        c.put_block(PhysAddr(0x5000), Arc::clone(&a));
+        c.put_block(PhysAddr(0x5008), block(8));
+        let b = c.get_block(PhysAddr(0x5008), 0).unwrap();
+        assert!(a.patch(0, &b));
+        drop(b);
+        assert!(a.link(0).is_some(), "the store keeps the successor alive");
         c.clear();
-        assert_eq!(c.get(PhysAddr(0x5000), 0), None);
         assert!(c.get_block(PhysAddr(0x5000), 0).is_none());
+        assert!(a.link(0).is_none(), "a dead link resolves to none");
     }
 }

@@ -5,8 +5,8 @@ use crate::hash::U64BuildHasher;
 use std::collections::HashMap;
 
 /// One resident frame: its bytes plus a *watched* flag. Watched frames
-/// are the ones some host-side structure (the cores' decoded-instruction
-/// caches) derived state from; any write to a watched frame bumps the
+/// are the ones some host-side structure (the cores' decoded-block
+/// stores) derived state from; any write to a watched frame bumps the
 /// store's [text generation](PhysMem::text_gen) so the derived state can
 /// be discarded. The flag costs nothing on the write path — the frame is
 /// already in hand when the bytes land.
@@ -46,8 +46,8 @@ impl Frame {
 pub struct PhysMem {
     frames: HashMap<u64, Frame, U64BuildHasher>,
     /// Bumped on every write that touches a watched frame. Consumers
-    /// that cache data derived from watched frames (decoded-instruction
-    /// caches) compare this against their snapshot: one integer compare
+    /// that cache data derived from watched frames (decoded-block
+    /// stores) compare this against their snapshot: one integer compare
     /// per use, regardless of how many pages they cached.
     text_gen: u64,
 }
@@ -86,8 +86,8 @@ impl PhysMem {
     }
 
     /// Marks the frame containing `addr` as watched: any later write to
-    /// it bumps [`text_gen`](Self::text_gen). Used by decoded-instruction
-    /// caches to detect self-modifying / reloaded code.
+    /// it bumps [`text_gen`](Self::text_gen). Used by decoded-block
+    /// stores to detect self-modifying / reloaded code.
     pub fn watch_text(&mut self, addr: PhysAddr) {
         self.frames
             .entry(addr.as_u64() >> PAGE_SHIFT)

@@ -21,6 +21,7 @@ use flick::{chrome_trace_named, validate_json, SpanStage};
 use flick_workloads::serving::{
     build_serving_fleet, gen_requests, run_serving_scenario, summarize, ServingScenario,
 };
+use std::time::Instant;
 
 fn scenario(rps: f64) -> ServingScenario {
     ServingScenario {
@@ -88,12 +89,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.trace = timeline.is_some();
     let (mut m, tenants) = build_serving_fleet(&cfg)?;
     let reqs = gen_requests(&cfg);
+    let started = Instant::now();
     let report = m.run_serving(&tenants, &reqs, u64::MAX, cfg.quantum)?;
+    let host_s = started.elapsed().as_secs_f64();
     println!(
         "{} tenants on {}, {} open-loop requests:",
         cfg.tenants, cfg.topology, cfg.requests
     );
     print_summary(&summarize(&cfg, &report));
+
+    // Host-side cost of the run: wall time per request and which lane
+    // retired the instructions. None of it is simulated state.
+    let ch = m.chain_stats();
+    println!(
+        "\nhost: {:.1} us per request ({:.3} s for the run)",
+        host_s * 1e6 / cfg.requests.max(1) as f64,
+        host_s
+    );
+    println!(
+        "block lane (host-side): {} block builds, {} chain hits, {} patches, {} breaks, \
+         {} fallback steps, {} spin-tier instructions",
+        ch.block_builds,
+        ch.chain_hits,
+        ch.chain_patches,
+        ch.chain_breaks,
+        ch.block_fallback_steps,
+        ch.spin_insts
+    );
+    println!(
+        "data memo (host-side): {} hits, {} misses",
+        ch.data_memo_hits, ch.data_memo_misses
+    );
 
     // Where a migration's time goes at this load, per pipeline stage.
     println!("\nper-stage migration latency (ns):");

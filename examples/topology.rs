@@ -143,8 +143,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ch = m.chain_stats();
     println!(
         "\nblock-lane chaining (host-side): {} hits, {} patches, {} breaks, {} fallback steps, \
-         {} spin-tier instructions",
-        ch.chain_hits, ch.chain_patches, ch.chain_breaks, ch.block_fallback_steps, ch.spin_insts
+         {} spin-tier instructions, {} block builds",
+        ch.chain_hits,
+        ch.chain_patches,
+        ch.chain_breaks,
+        ch.block_fallback_steps,
+        ch.spin_insts,
+        ch.block_builds
     );
     println!(
         "data memo (host-side): {} hits, {} misses",

@@ -75,12 +75,14 @@ test -s "$tmp_trace"
 # Serving-scenario smoke: the open-loop multi-tenant example must carry
 # its load point end to end at two seeds (the dedicated suite in
 # tests/serving.rs proves the sweep replays bit-identically; this
-# drives the example binary itself), and the saturated fleet's Perfetto
-# export must be non-empty (the example validates the JSON before
-# writing).
+# drives the example binary itself), the 250-tenant maximum (the
+# largest text footprint any example runs) must carry its load point
+# too, and the saturated fleet's Perfetto export must be non-empty
+# (the example validates the JSON before writing).
 for seed in 7 99; do
     cargo run --release --example serving -- --seed "$seed" > /dev/null
 done
+cargo run --release --example serving -- --tenants 250 > /dev/null
 cargo run --release --example serving -- --timeline "$tmp_trace" > /dev/null
 test -s "$tmp_trace"
-echo "serving smoke: 2 seeds ok"
+echo "serving smoke: 2 seeds and 250 tenants ok"

@@ -513,6 +513,168 @@ fn smc_rewriting_chained_successor_identical() {
     }
 }
 
+/// Chain pages of the large-footprint program: more text pages than
+/// any fixed-capacity decode store of 64 pages could hold.
+const FOOTPRINT_PAGES: u64 = 72;
+/// The chain page whose add the program patches before its last pass.
+const FOOTPRINT_VICTIM: u64 = FOOTPRINT_PAGES / 2;
+/// Instruction counts of the large-footprint program's pieces: the
+/// setup page, one walk of the chain pages, and the return page on
+/// each of the three passes (loop back; store, then loop back; halt).
+const FOOTPRINT_SETUP: u64 = 6;
+const FOOTPRINT_CHAIN: u64 = 3 * FOOTPRINT_PAGES;
+const FOOTPRINT_RETURNS: [u64; 3] = [5, 6, 4];
+
+/// One chain page: step `t3` to the next page, add the page's number
+/// (`imm`) into `a0`, and jump to `t3`.
+fn footprint_page(target: TargetIsa, imm: i32) -> Vec<u8> {
+    encode(
+        target,
+        &[
+            Inst::AluImm {
+                op: AluOp::Add,
+                rd: abi::T3,
+                rs1: abi::T3,
+                imm: 0x1000,
+            },
+            Inst::AluImm {
+                op: AluOp::Add,
+                rd: abi::A0,
+                rs1: abi::A0,
+                imm,
+            },
+            Inst::Jalr {
+                rd: abi::ZERO,
+                rs1: abi::T3,
+                off: 0,
+            },
+        ],
+    )
+}
+
+/// A program whose hot path spans [`FOOTPRINT_PAGES`] + 2 text pages,
+/// walked three times. Page 0 sets up and jumps to page 1; chain pages
+/// 1..=N each add their number into `a0` and jump to the next page; the
+/// return page after them counts passes, and before the last pass
+/// stores over the victim page's add so it adds 32 more.
+fn footprint_program(target: TargetIsa) -> Vec<u8> {
+    let page = |n: u64| TEXT + n * 0x1000;
+    let mut bytes = vec![0u8; ((FOOTPRINT_PAGES + 2) * 0x1000) as usize];
+    let mut place = |n: u64, code: &[u8]| {
+        assert!(code.len() <= 0x1000);
+        let at = (n * 0x1000) as usize;
+        bytes[at..at + code.len()].copy_from_slice(code);
+    };
+    // The patch: the victim's add with the larger immediate, padded
+    // with the page's own following bytes to the 8-byte store.
+    let victim = footprint_page(target, FOOTPRINT_VICTIM as i32);
+    let mut patched = footprint_page(target, FOOTPRINT_VICTIM as i32 + 32);
+    assert_eq!(patched.len(), victim.len(), "patch must keep the layout");
+    let add_at = offsets(isa_of(target), &victim)[1];
+    patched.resize(add_at + 8, 0);
+    let patch = u64::from_le_bytes(patched[add_at..add_at + 8].try_into().unwrap());
+
+    let mut f = FuncBuilder::new("setup", target);
+    f.li(abi::S1, 3);
+    f.li(abi::T0, (page(FOOTPRINT_VICTIM) + add_at as u64) as i64);
+    f.li(abi::T1, patch as i64);
+    f.li(abi::T2, 1);
+    f.li(abi::T3, page(1) as i64);
+    f.push(Inst::Jalr {
+        rd: abi::ZERO,
+        rs1: abi::T3,
+        off: 0,
+    });
+    place(0, &isa_of(target).encode(&f.finish()).unwrap().bytes);
+    for n in 1..=FOOTPRINT_PAGES {
+        place(n, &footprint_page(target, n as i32));
+    }
+    let mut f = FuncBuilder::new("return", target);
+    let (skip, done) = (f.new_label(), f.new_label());
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::T2, skip);
+    f.st(abi::T1, abi::T0, 0, MemSize::B8);
+    f.bind(skip);
+    f.beq(abi::S1, abi::ZERO, done);
+    f.li(abi::T3, page(1) as i64);
+    f.push(Inst::Jalr {
+        rd: abi::ZERO,
+        rs1: abi::T3,
+        off: 0,
+    });
+    f.bind(done);
+    f.halt();
+    place(
+        FOOTPRINT_PAGES + 1,
+        &isa_of(target).encode(&f.finish()).unwrap().bytes,
+    );
+    bytes
+}
+
+/// A hot path over more text pages than a fixed 64-page decode store
+/// could hold, walked three times with a store into one text page
+/// before the third walk. The block lane must match the step path at
+/// every fuel cutoff; with nothing written, the second walk must find
+/// every block it needs already decoded (no builds); the walk after
+/// the text write must rebuild and still run the patched add.
+#[test]
+fn large_text_footprint_identical_and_decoded_once() {
+    for target in [TargetIsa::Host, TargetIsa::Nxp, TargetIsa::Arm64] {
+        let bytes = footprint_program(target);
+        let sum: u64 = (1..=FOOTPRINT_PAGES).sum();
+        let a0 = |s: &Snap| s.regs[abi::A0.0 as usize];
+        let full = diff_run(target, &bytes, u64::MAX, "footprint full");
+        assert_eq!(full.stop, StopReason::Halt, "{target:?}");
+        assert_eq!(
+            a0(&full),
+            0x2000 * abi::A0.0 as u64 + 3 * sum + 32,
+            "{target:?}: three walks, the last with the patched add"
+        );
+        // The run cut at its pass boundaries: pass one, the second
+        // chain walk, the return page that stores, the third chain
+        // walk, the final return page.
+        let [r1, r2, r3] = FOOTPRINT_RETURNS;
+        let cuts = [
+            FOOTPRINT_SETUP + FOOTPRINT_CHAIN + r1,
+            FOOTPRINT_CHAIN,
+            r2,
+            FOOTPRINT_CHAIN,
+            r3,
+        ];
+        for fuel in 0..=cuts.iter().sum() {
+            diff_run(target, &bytes, fuel, &format!("footprint {target:?}"));
+        }
+        let [(blocks, builds), (step, _)] = ENGINES.map(|engine| {
+            let (mut mem, cr3) = fixture(target, &bytes);
+            let mut core = core_for(target, engine, cr3);
+            let env = MemEnv::paper_default();
+            let mut snaps = Vec::new();
+            let mut builds = Vec::new();
+            for fuel in cuts {
+                let before = core.chain_counters().block_builds;
+                let stop = core.run(&mut mem, &env, fuel);
+                builds.push(core.chain_counters().block_builds - before);
+                snaps.push(snap(stop, &core));
+            }
+            (snaps, builds)
+        });
+        assert_eq!(blocks, step, "{target:?}: block vs step across passes");
+        assert_eq!(blocks.last().unwrap().stop, StopReason::Halt, "{target:?}");
+        assert_eq!(a0(blocks.last().unwrap()), a0(&full), "{target:?}");
+        assert!(
+            builds[0] >= FOOTPRINT_PAGES,
+            "{target:?}: first walk built {} blocks",
+            builds[0]
+        );
+        assert_eq!(builds[1], 0, "{target:?}: second walk must decode nothing");
+        assert!(
+            builds[3] >= FOOTPRINT_PAGES,
+            "{target:?}: walk after the text write built {} blocks",
+            builds[3]
+        );
+    }
+}
+
 /// A straight-line run long enough that one x86-64 instruction straddles
 /// the 0x1000 page boundary: blocks must end at the boundary and the
 /// spanning instruction must replay identically through the step path.
