@@ -95,14 +95,11 @@ impl std::error::Error for DescError {}
 fn fnv1a_except_crc(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for (i, b) in bytes.iter().enumerate() {
-        if (L::CRC as usize..L::CRC as usize + 8).contains(&i) {
-            continue;
-        }
-        h = (h ^ *b as u64).wrapping_mul(PRIME);
-    }
-    h
+    let crc = L::CRC as usize;
+    bytes[..crc]
+        .iter()
+        .chain(&bytes[crc + 8..])
+        .fold(OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
 }
 
 /// One migration descriptor.
@@ -341,6 +338,15 @@ mod tests {
         let b2 = d2.to_bytes();
         let crc = L::CRC as usize;
         assert_ne!(b[crc..crc + 8], b2[crc..crc + 8], "CRC must cover SPAN");
+    }
+
+    #[test]
+    fn checksum_of_a_fixed_descriptor_is_pinned() {
+        // The wire digest is part of the simulated machine's observable
+        // bytes: any change to how it is computed must keep this value.
+        let b = sample(DescKind::HostToNxpCall).to_bytes();
+        let crc = u64::from_le_bytes(b[L::CRC as usize..L::CRC as usize + 8].try_into().unwrap());
+        assert_eq!(crc, 0x98d5_e1ad_5629_6c8e);
     }
 
     #[test]

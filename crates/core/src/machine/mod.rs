@@ -794,15 +794,7 @@ impl Machine {
             .chain(self.nxps.iter())
             .chain(self.emus.iter().flatten());
         for c in cores {
-            let ch = c.chain_counters();
-            total.chain_hits += ch.chain_hits;
-            total.chain_patches += ch.chain_patches;
-            total.chain_breaks += ch.chain_breaks;
-            total.block_fallback_steps += ch.block_fallback_steps;
-            total.data_memo_hits += ch.data_memo_hits;
-            total.data_memo_misses += ch.data_memo_misses;
-            total.spin_insts += ch.spin_insts;
-            total.block_builds += ch.block_builds;
+            total += *c.chain_counters();
         }
         total
     }

@@ -3,7 +3,7 @@
 
 use crate::cache::{Cache, CacheConfig};
 use crate::decoded::{
-    lower_spin, BlockInst, DecodedBlock, DecodedCache, SpinBranch, SpinOp, NO_SUCC,
+    lower_spin, BlockInst, DecodedBlock, DecodedCache, SpinBranch, SpinOp, NO_LINK, NO_SUCC,
 };
 use crate::tlb::{MmuHole, Tlb, TlbEntry};
 use crate::MemEnv;
@@ -14,7 +14,6 @@ use flick_paging::{walk, WalkError};
 use flick_sim::trace::Side;
 use flick_sim::{Clock, Hertz, Picos, Stats};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 /// Cycles charged per instruction class (before memory stalls).
 #[derive(Clone, Copy, Debug)]
@@ -404,6 +403,19 @@ pub struct ChainCounters {
     pub block_builds: u64,
 }
 
+impl std::ops::AddAssign for ChainCounters {
+    fn add_assign(&mut self, o: Self) {
+        self.chain_hits += o.chain_hits;
+        self.chain_patches += o.chain_patches;
+        self.chain_breaks += o.chain_breaks;
+        self.block_fallback_steps += o.block_fallback_steps;
+        self.data_memo_hits += o.data_memo_hits;
+        self.data_memo_misses += o.data_memo_misses;
+        self.spin_insts += o.spin_insts;
+        self.block_builds += o.block_builds;
+    }
+}
+
 impl ChainCounters {
     /// Materializes the tallies into a named [`Stats`] bag (zero-valued
     /// counters skipped), for report-time printing. Never merged into
@@ -500,12 +512,6 @@ struct DataMemo {
     pages: [DataPage; DATA_MEMO],
 }
 
-/// Entries in the core's front block cache ([`Core::last_blocks`]).
-/// Sized for the loop shapes the workloads actually run: a loop body
-/// split by its exit branch is two blocks, a call-in-a-loop is three
-/// or four. Lookup is a linear scan, so this must stay tiny.
-const FRONT_BLOCKS: usize = 4;
-
 /// Maximum instructions in one decoded (super)block. Extension through
 /// direct jumps would otherwise decode forever (a `jal` to itself
 /// re-decodes the same bytes); the cap also bounds how much decode work
@@ -526,17 +532,9 @@ pub struct Core {
     holes: Vec<MmuHole>,
     counters: CoreCounters,
     chain: ChainCounters,
+    /// Decoded-block store (fast path only). Empty while
+    /// [`run_blocks`](Self::run_blocks) holds it.
     decoded: DecodedCache,
-    /// Small front cache over the [`DecodedCache`] block store: the most
-    /// recently executed blocks, keyed by physical start address and
-    /// the text generation each was decoded under. Hot loops cycle
-    /// through a handful of blocks (a loop body split by its branch is
-    /// already two); hitting here skips the map probe and all `Arc`
-    /// reference traffic (the block is *moved* out and back). Misses
-    /// fall through to the store and land in round-robin order.
-    last_blocks: [Option<(u64, u64, Arc<DecodedBlock>)>; FRONT_BLOCKS],
-    /// Round-robin insert cursor for `last_blocks`.
-    front_cursor: u8,
     /// Last-fetch translation memo (fast path only; see [`FetchFrame`]).
     fetch_frame: Option<FetchFrame>,
     /// Data-side translation memo (block lane only; see [`DataMemo`]).
@@ -572,8 +570,6 @@ impl Core {
             counters: CoreCounters::default(),
             chain: ChainCounters::default(),
             decoded: DecodedCache::new(),
-            last_blocks: [const { None }; FRONT_BLOCKS],
-            front_cursor: 0,
             fetch_frame: None,
             data_memo: DataMemo::default(),
             fetch_align_mask: cfg.isa.fetch_align() - 1,
@@ -674,7 +670,6 @@ impl Core {
         // Holes take priority over TLB translations, so a memoized fetch
         // translation may no longer be how this VA resolves.
         self.fetch_frame = None;
-        self.last_blocks = [const { None }; FRONT_BLOCKS];
     }
 
     /// Captures the thread-visible CPU state.
@@ -1392,24 +1387,32 @@ impl Core {
     fn run_blocks(&mut self, mem: &mut PhysMem, env: &MemEnv, fuel: u64) -> StopReason {
         // The memo's timing came from the previous call's `MemEnv`.
         self.data_memo.len = 0;
+        // The lane borrows blocks from the store while the executors
+        // mutate the core, so the store leaves `self` for the run. The
+        // step path never touches it.
+        let mut store = std::mem::take(&mut self.decoded);
         let mut left = fuel;
-        while left > 0 {
-            match self.block_step(mem, env, &mut left) {
-                Ok(true) => {}
-                Ok(false) => {
-                    // One slow-path step: raises the fault the block
-                    // path declined to classify, installs the fetch
-                    // memo the next block entry validates against.
-                    self.chain.block_fallback_steps += 1;
-                    if let Err(stop) = self.step(mem, env) {
-                        return stop;
+        let stop = 'run: {
+            while left > 0 {
+                match self.block_step(&mut store, mem, env, &mut left) {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        // One slow-path step: raises the fault the block
+                        // path declined to classify, installs the fetch
+                        // memo the next block entry validates against.
+                        self.chain.block_fallback_steps += 1;
+                        if let Err(stop) = self.step(mem, env) {
+                            break 'run stop;
+                        }
+                        left -= 1;
                     }
-                    left -= 1;
+                    Err(stop) => break 'run stop,
                 }
-                Err(stop) => return stop,
             }
-        }
-        StopReason::OutOfFuel
+            StopReason::OutOfFuel
+        };
+        self.decoded = store;
+        stop
     }
 
     /// Attempts one block execution at the current PC. Returns
@@ -1434,6 +1437,7 @@ impl Core {
     ///   every store).
     fn block_step(
         &mut self,
+        store: &mut DecodedCache,
         mem: &mut PhysMem,
         env: &MemEnv,
         left: &mut u64,
@@ -1453,45 +1457,15 @@ impl Core {
         }
         let pa_page = fc.pa_page;
         let text_gen = mem.text_gen();
-        // Lane-local working set, seeded from the front cache: every
-        // front-cache block of this page and generation, keyed by start
-        // offset (page and generation are lane constants, so the short
-        // key suffices). Chain follows hit here with a 4-entry scan and
-        // *move* the Arc out — steady-state loops do no reference
-        // counting and never probe the block store. Everything is
-        // written back at lane exit. Stale-generation front entries are
-        // dropped on the way in (the generation only grows); entries
-        // for other pages stay put.
-        let mut ws: [Option<(u16, Arc<DecodedBlock>)>; FRONT_BLOCKS] =
-            [const { None }; FRONT_BLOCKS];
-        let mut n_ws = 0;
-        for e in &mut self.last_blocks {
-            match e {
-                Some((bpa, bgen, _))
-                    if *bgen == text_gen && *bpa & !(PAGE_SIZE - 1) == pa_page =>
-                {
-                    let (bpa, _, b) = e.take().expect("matched entry is occupied");
-                    ws[n_ws] = Some(((bpa & (PAGE_SIZE - 1)) as u16, b));
-                    n_ws += 1;
-                }
-                Some((_, bgen, _)) if *bgen != text_gen => *e = None,
-                _ => {}
-            }
-        }
-        let mut ws_cursor = 0usize;
         let mut cur_off = pc.page_offset() as u16;
-        let mut cur = match Self::ws_take(&mut ws, cur_off) {
-            Some(b) => b,
-            None => match self.lookup_or_build(pa_page, cur_off, text_gen, mem) {
-                Some(b) => b,
-                None => {
-                    // Not even the first instruction decodes into a
-                    // block; restore the working set and fall back.
-                    self.park_front(pa_page, text_gen, ws);
-                    return Ok(false);
-                }
-            },
+        let Some(mut cur) = self.find_or_build(store, pa_page, cur_off, text_gen, mem) else {
+            // Not even the first instruction decodes into a block.
+            return Ok(false);
         };
+        // `b` is block `cur`, held across follows: the arena is only
+        // re-indexed when the lane moves to another block or mutates
+        // the store (a patch or a build).
+        let mut b = store.block(cur);
         // The chain loop: run the current block; while its control
         // transfer lands on a statically known same-page successor and
         // the follow validation holds, continue in the lane. The
@@ -1501,65 +1475,56 @@ impl Core {
         // Alignment needs no re-check — successor offsets were
         // alignment-checked at decode time. Holes cannot appear inside
         // `run`, and only the fetch frame's `line` mutates in the lane,
-        // so the entry validation above still covers everything else.
-        let res = 'lane: loop {
-            let Some(fcv) = self.fetch_frame else {
-                // The lane never drops the frame; defensive only.
-                break Ok(());
-            };
-            match self.exec_block(&cur, &fcv, mem, env, text_gen, left) {
-                Err(stop) => break Err(stop),
-                Ok(completed) => {
-                    if !completed {
-                        break Ok(());
-                    }
-                }
+        // so `fc` and the entry validation above still cover everything
+        // else.
+        'lane: loop {
+            if !self.exec_block(b, mem, env, text_gen, left)? {
+                return Ok(true);
             }
             // Follow edges until a block must execute again (`continue
             // 'lane`) or the lane ends. Iterates without an intervening
             // exec only after a spin batch, whose exit PC is a fresh
             // transfer target needing its own validation.
             loop {
-                let Some(fcv) = self.fetch_frame else {
-                    break 'lane Ok(());
-                };
                 let pc = self.pc;
                 let off = pc.page_offset() as u16;
                 // Which successor edge did the transfer take?
                 // (succ_off entries are NO_SUCC when absent, which no
                 // in-page offset equals.)
-                let idx = if cur.succ_off[0] == off {
+                let idx = if b.succ_off[0] == off {
                     0
-                } else if cur.succ_off[1] == off {
+                } else if b.succ_off[1] == off {
                     1
                 } else {
                     2
                 };
                 if idx == 2
                     || *left == 0
-                    || pc.page_base().as_u64() != fcv.va_page
+                    || pc.page_base().as_u64() != fc.va_page
                     || mem.text_gen() != text_gen
-                    || self.itlb.generation() != fcv.itlb_gen
+                    || self.itlb.generation() != fc.itlb_gen
                 {
-                    if cur.succ_off != [NO_SUCC; 2] {
+                    if b.succ_off != [NO_SUCC; 2] {
                         self.chain.chain_breaks += 1;
                     }
-                    break 'lane Ok(());
+                    return Ok(true);
                 }
                 if off == cur_off {
                     // Self-loop — the tightest hot loops chain to
-                    // themselves; skip the working-set traffic.
-                    if cur.links[idx].get().is_none() && cur.patch(idx, &cur) {
+                    // themselves; `b` stays put.
+                    if b.links[idx] == NO_LINK {
+                        store.link(cur, idx, cur);
                         self.chain.chain_patches += 1;
+                        b = store.block(cur);
                     }
                     self.chain.chain_hits += 1;
-                    let n = cur.insts.len() as u64;
-                    if !cur.spin.is_empty() && *left >= n {
+                    let n = b.insts.len() as u64;
+                    if !b.spin.is_empty() && *left >= n {
                         // Spin batch: replay full iterations back to
                         // back (see `exec_block_spin` for why the
                         // per-follow validation is provably constant
                         // here), then re-validate from the exit PC.
-                        if let Some(iters) = self.exec_block_spin(&cur, left) {
+                        if let Some(iters) = self.exec_block_spin(b, left) {
                             self.chain.chain_hits += iters - 1;
                             self.chain.spin_insts += iters * n;
                             continue;
@@ -1570,111 +1535,52 @@ impl Core {
                     // I-cache charges, partial fuel).
                     continue 'lane;
                 }
-                let next = match Self::ws_take(&mut ws, off) {
-                    Some(b) => b,
-                    None => match cur.link(idx) {
-                        Some(b) => b,
-                        None => match self.lookup_or_build(pa_page, off, text_gen, mem) {
-                            Some(b) => b,
-                            None => {
-                                // Successor bytes don't decode;
-                                // dispatch + step will fault.
-                                self.chain.chain_breaks += 1;
-                                break 'lane Ok(());
-                            }
-                        },
-                    },
+                let next = match b.links[idx] {
+                    NO_LINK => {
+                        // First follow of this edge: resolve it through
+                        // the store and patch the link.
+                        let Some(next) = self.find_or_build(store, pa_page, off, text_gen, mem)
+                        else {
+                            // Successor bytes don't decode; dispatch +
+                            // step will fault.
+                            self.chain.chain_breaks += 1;
+                            return Ok(true);
+                        };
+                        store.link(cur, idx, next);
+                        self.chain.chain_patches += 1;
+                        next
+                    }
+                    next => next,
                 };
-                if cur.links[idx].get().is_none() && cur.patch(idx, &next) {
-                    self.chain.chain_patches += 1;
-                }
-                Self::ws_park(&mut ws, &mut ws_cursor, cur_off, cur);
-                cur_off = off;
                 cur = next;
+                cur_off = off;
+                b = store.block(cur);
                 self.chain.chain_hits += 1;
                 continue 'lane;
             }
-        };
-        Self::ws_park(&mut ws, &mut ws_cursor, cur_off, cur);
-        self.park_front(pa_page, text_gen, ws);
-        res.map(|()| true)
-    }
-
-    /// Takes the working-set block starting at page offset `off`.
-    #[inline]
-    fn ws_take(
-        ws: &mut [Option<(u16, Arc<DecodedBlock>)>; FRONT_BLOCKS],
-        off: u16,
-    ) -> Option<Arc<DecodedBlock>> {
-        ws.iter_mut()
-            .find(|e| matches!(e, Some((o, _)) if *o == off))
-            .and_then(|e| e.take())
-            .map(|(_, b)| b)
-    }
-
-    /// Parks a block into the lane working set: an empty slot if any,
-    /// else round-robin replacement.
-    #[inline]
-    fn ws_park(
-        ws: &mut [Option<(u16, Arc<DecodedBlock>)>; FRONT_BLOCKS],
-        cursor: &mut usize,
-        off: u16,
-        b: Arc<DecodedBlock>,
-    ) {
-        let slot = match ws.iter().position(|e| e.is_none()) {
-            Some(s) => s,
-            None => {
-                let s = *cursor;
-                *cursor = (*cursor + 1) % FRONT_BLOCKS;
-                s
-            }
-        };
-        ws[slot] = Some((off, b));
-    }
-
-    /// Writes a lane's working set back into the front cache: empty
-    /// slots first, then round-robin replacement. Entries for other
-    /// pages were left in place by the lane entry scan, so keys never
-    /// duplicate.
-    fn park_front(
-        &mut self,
-        pa_page: u64,
-        text_gen: u64,
-        ws: [Option<(u16, Arc<DecodedBlock>)>; FRONT_BLOCKS],
-    ) {
-        for (off, b) in ws.into_iter().flatten() {
-            let slot = match self.last_blocks.iter().position(|e| e.is_none()) {
-                Some(s) => s,
-                None => {
-                    let s = self.front_cursor as usize;
-                    self.front_cursor = (self.front_cursor + 1) % FRONT_BLOCKS as u8;
-                    s
-                }
-            };
-            self.last_blocks[slot] = Some((pa_page | off as u64, text_gen, b));
         }
     }
 
-    /// Resolves the decoded block starting at page offset `off` of the
-    /// lane's (validated) frame: store lookup, else a fresh decode,
-    /// watched and published. `None` when not even the first
-    /// instruction decodes into a block.
-    fn lookup_or_build(
+    /// Index of the decoded block starting at page offset `off` of the
+    /// lane's (validated) frame: a store probe, else a fresh decode,
+    /// watched and stored. `None` when not even the first instruction
+    /// decodes into a block.
+    fn find_or_build(
         &mut self,
+        store: &mut DecodedCache,
         pa_page: u64,
         off: u16,
         text_gen: u64,
         mem: &mut PhysMem,
-    ) -> Option<Arc<DecodedBlock>> {
+    ) -> Option<u32> {
         let pa = PhysAddr(pa_page | off as u64);
-        if let Some(b) = self.decoded.get_block(pa, text_gen) {
-            return Some(b);
+        if let Some(i) = store.find(pa, text_gen) {
+            return Some(i);
         }
-        let b = Arc::new(self.build_block(pa_page, off as u64, mem)?);
+        let block = self.build_block(pa_page, off as u64, mem)?;
         self.chain.block_builds += 1;
         mem.watch_text(pa);
-        self.decoded.put_block(pa, Arc::clone(&b));
-        Some(b)
+        Some(store.insert(pa, block))
     }
 
     /// Decodes a (super)block starting at page offset `start_off` of
@@ -1797,7 +1703,7 @@ impl Core {
                 total_cycles,
                 total_picos,
                 succ_off: succ,
-                links: [OnceLock::new(), OnceLock::new()],
+                links: [NO_LINK; 2],
                 spin,
             })
         }
@@ -1835,12 +1741,14 @@ impl Core {
     fn exec_block(
         &mut self,
         block: &DecodedBlock,
-        fc: &FetchFrame,
         mem: &mut PhysMem,
         env: &MemEnv,
         text_gen: u64,
         left: &mut u64,
     ) -> Result<bool, StopReason> {
+        let Some(fc) = self.fetch_frame else {
+            unreachable!("blocks run from a validated lane");
+        };
         let va_page = fc.va_page;
         let pa_page = fc.pa_page;
         // The per-instruction bookkeeping — PC, fuel, retired count,

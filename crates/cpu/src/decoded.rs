@@ -3,13 +3,14 @@
 //!
 //! Interpreter fetch pays, per simulated instruction, a 16-byte
 //! `PhysMem` read plus a full byte-level re-decode of bytes that almost
-//! never change. Each core therefore keeps one map from *physical*
-//! address to [`DecodedBlock`]: a straight-line instruction run the
-//! core's block-execution loop replays without re-entering fetch or
-//! dispatch per instruction (see `Core::run` in
-//! [`core_`](crate::core_)). There is no per-instruction memo: the step
-//! path retires a few percent of instructions at most and decodes them
-//! from bytes.
+//! never change. Each core therefore keeps one store of
+//! [`DecodedBlock`]s: straight-line instruction runs the core's
+//! block-execution loop replays without re-entering fetch or dispatch
+//! per instruction (see `Core::run` in [`core_`](crate::core_)). The
+//! store is an arena — blocks live in one `Vec`, and a map from
+//! *physical* address to arena index finds the block starting there.
+//! There is no per-instruction memo: the step path retires a few
+//! percent of instructions at most and decodes them from bytes.
 //!
 //! Keying by physical address keeps the store honest across address
 //! spaces: the same text frame decoded through two mappings shares its
@@ -17,10 +18,10 @@
 //! means the store needs exactly one invalidation mechanism — **text
 //! writes**: every page a block is built from is marked *watched* in
 //! [`PhysMem`](flick_mem::PhysMem); any write into a watched frame
-//! bumps the store's `text_gen`. [`DecodedCache::get_block`] compares
-//! that generation against its snapshot — one `u64` compare per probe
-//! — and drops every block on mismatch. Self-modifying or reloaded code
-//! is therefore never served stale.
+//! bumps the store's `text_gen`. [`DecodedCache::find`] compares that
+//! generation against its snapshot — one `u64` compare per probe — and
+//! drops every block on mismatch. Self-modifying or reloaded code is
+//! therefore never served stale.
 //!
 //! CR3 switches and TLB flushes/shootdowns deliberately do *not* touch
 //! the store: decode is a pure function of text bytes, so translation
@@ -31,10 +32,13 @@
 //! at fast-path speed — each switch used to force a full re-decode of
 //! both processes' hot loops.
 //!
-//! Nothing is evicted. The map holds at most one block per start
+//! Nothing is evicted. The store holds at most one block per start
 //! offset of watched text, so its size is bounded by the text the core
 //! has executed since the last text write, and a core serving many
-//! tenants decodes each tenant's text once.
+//! tenants decodes each tenant's text once. Because a block leaves the
+//! store only when the whole store is dropped, a successor link
+//! ([`DecodedBlock::links`]) is a plain arena index: it stays valid
+//! exactly as long as the block holding it, with no reference counting.
 //!
 //! The store is purely a *host* optimization: hits and misses here are
 //! invisible to the simulated machine. Simulated I-TLB/I-cache charging
@@ -45,7 +49,6 @@
 use flick_isa::{AluOp, BranchOp, Inst, Target};
 use flick_mem::{PhysAddr, U64BuildHasher, PAGE_SIZE};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, Weak};
 
 /// Successor-offset value meaning "no static successor on this edge".
 pub const NO_SUCC: u16 = u16::MAX;
@@ -107,7 +110,7 @@ pub struct SpinBranch {
 /// Straight-line variants carry no "next PC": within one decoded
 /// block the intermediate PC values are dead (the vec order *is* the
 /// execution order, and a spin-lowered block always ends in a control
-/// op — [`lower_spin`] callers gate on a successor edge existing), so
+/// op — the lowering's callers gate on a successor edge existing), so
 /// only control variants set the PC. Purely a host-side re-encoding:
 /// the net architectural effect of one pass over the micro-ops equals
 /// one pass over the source instructions.
@@ -322,17 +325,12 @@ pub struct DecodedBlock {
     /// a CR3 switch, only on text_gen invalidation, which drops the
     /// blocks themselves.
     pub succ_off: [u16; 2],
-    /// Lazily patched successor links, parallel to `succ_off`: the
-    /// first execution that resolves an edge stores a `Weak` to the
-    /// successor block. `Weak` (not `Arc`) so self-loops and cycles —
-    /// every hot loop is one — cannot keep invalidated blocks alive
-    /// past a text_gen bump; `OnceLock` keeps the block `Sync`, so an
-    /// `Arc<DecodedBlock>` inside a `Core` leaves `Machine` `Send`
-    /// (`tests/determinism.rs` runs machines on several OS threads).
-    /// The store never evicts, so a link dies only when a text write
-    /// clears the store; an upgrade failure then degrades to a store
-    /// lookup on that follow.
-    pub links: [OnceLock<Weak<DecodedBlock>>; 2],
+    /// Successor links, parallel to `succ_off`: the [`DecodedCache`]
+    /// index of the successor block, or [`NO_LINK`] until the first
+    /// execution that follows the edge resolves it. An index is only
+    /// meaningful inside the store that holds this block, and dies with
+    /// it: the store drops blocks and links together, never one alone.
+    pub links: [u32; 2],
     /// The block pre-lowered to spin micro-ops ([`SpinOp`]), parallel
     /// to `insts`, or empty when any instruction falls outside the spin
     /// subset or the block has no successor edge (it can never
@@ -340,33 +338,19 @@ pub struct DecodedBlock {
     pub spin: Vec<SpinOp>,
 }
 
-impl DecodedBlock {
-    /// Resolves successor edge `idx` if it has been patched and the
-    /// target block is still alive.
-    #[inline]
-    pub fn link(&self, idx: usize) -> Option<Arc<DecodedBlock>> {
-        self.links[idx].get().and_then(Weak::upgrade)
-    }
+/// Link value meaning "edge not resolved yet".
+pub const NO_LINK: u32 = u32::MAX;
 
-    /// Patches successor edge `idx`; returns true when this call did
-    /// the patch. First writer wins — a dead `Weak` can never be
-    /// replaced (`OnceLock` is write-once), so that edge degrades to a
-    /// store lookup per follow, which only costs host time (and needs a
-    /// text write that cleared the store under a live chain).
-    #[inline]
-    pub fn patch(&self, idx: usize, succ: &Arc<DecodedBlock>) -> bool {
-        self.links[idx].set(Arc::downgrade(succ)).is_ok()
-    }
-}
-
-/// Per-core decoded-block store, keyed by the physical address of each
-/// block's first instruction. See the module docs for keying and
-/// invalidation rules.
+/// Per-core decoded-block store: an arena of blocks plus a map from
+/// the physical address of each block's first instruction to its arena
+/// index. See the module docs for keying and invalidation rules.
 #[derive(Default)]
 pub struct DecodedCache {
-    blocks: HashMap<u64, Arc<DecodedBlock>, U64BuildHasher>,
+    /// PA of a block's first instruction → its index in `blocks`.
+    index: HashMap<u64, u32, U64BuildHasher>,
+    blocks: Vec<DecodedBlock>,
     /// `PhysMem::text_gen` snapshot the stored blocks were decoded at.
-    gen: u64,
+    text_gen: u64,
 }
 
 impl DecodedCache {
@@ -375,23 +359,24 @@ impl DecodedCache {
         DecodedCache::default()
     }
 
-    /// Looks up the decoded block starting at physical address `pa`.
+    /// Index of the decoded block starting at physical address `pa`.
     /// A `text_gen` other than the snapshot (some watched frame was
     /// written since) drops every block, re-snapshots and misses.
-    pub fn get_block(&mut self, pa: PhysAddr, text_gen: u64) -> Option<Arc<DecodedBlock>> {
-        if text_gen != self.gen {
-            self.clear();
-            self.gen = text_gen;
+    pub fn find(&mut self, pa: PhysAddr, text_gen: u64) -> Option<u32> {
+        if text_gen != self.text_gen {
+            self.index.clear();
+            self.blocks.clear();
+            self.text_gen = text_gen;
             return None;
         }
-        self.blocks.get(&pa.as_u64()).cloned()
+        self.index.get(&pa.as_u64()).copied()
     }
 
-    /// Records a decoded block starting at `pa`. The caller must have
-    /// called [`get_block`](Self::get_block) with the current
-    /// generation (so the snapshot is up to date), and the block must
-    /// lie entirely within one page.
-    pub fn put_block(&mut self, pa: PhysAddr, block: Arc<DecodedBlock>) {
+    /// Stores a decoded block starting at `pa` and returns its index.
+    /// The caller must have called [`find`](Self::find) with the
+    /// current generation (so the snapshot is up to date), and the
+    /// block must lie entirely within one page.
+    pub fn insert(&mut self, pa: PhysAddr, block: DecodedBlock) -> u32 {
         debug_assert!(!block.insts.is_empty(), "blocks are never empty");
         // Superblocks decode through direct jumps, so offsets are not
         // monotonic and may land before the entry offset; the only
@@ -410,12 +395,24 @@ impl DecodedCache {
                 .all(|&s| s == NO_SUCC || (s as u64) < PAGE_SIZE),
             "successor offsets must lie within the page"
         );
-        self.blocks.insert(pa.as_u64(), block);
+        let i = self.blocks.len() as u32;
+        debug_assert!(i != NO_LINK, "block index space exhausted");
+        self.blocks.push(block);
+        self.index.insert(pa.as_u64(), i);
+        i
     }
 
-    /// Drops every stored block.
-    pub fn clear(&mut self) {
-        self.blocks.clear();
+    /// The block at index `i`, as returned by [`find`](Self::find) or
+    /// [`insert`](Self::insert) since the last clear.
+    #[inline]
+    pub fn block(&self, i: u32) -> &DecodedBlock {
+        &self.blocks[i as usize]
+    }
+
+    /// Points successor edge `edge` of block `from` at block `to`.
+    #[inline]
+    pub fn link(&mut self, from: u32, edge: usize, to: u32) {
+        self.blocks[from as usize].links[edge] = to;
     }
 }
 
@@ -423,8 +420,8 @@ impl DecodedCache {
 mod tests {
     use super::*;
 
-    fn block(off: u16) -> Arc<DecodedBlock> {
-        Arc::new(DecodedBlock {
+    fn block(off: u16) -> DecodedBlock {
+        DecodedBlock {
             insts: vec![BlockInst {
                 inst: Inst::Halt,
                 off,
@@ -436,38 +433,42 @@ mod tests {
             total_cycles: 1,
             total_picos: 417,
             succ_off: [NO_SUCC; 2],
-            links: [OnceLock::new(), OnceLock::new()],
+            links: [NO_LINK; 2],
             spin: Vec::new(),
-        })
+        }
     }
 
     #[test]
     fn block_round_trip() {
         let mut c = DecodedCache::new();
         let pa = PhysAddr(0x40_0010);
-        assert!(c.get_block(pa, 0).is_none());
-        let b = block(0x10);
-        c.put_block(pa, Arc::clone(&b));
-        assert!(Arc::ptr_eq(&c.get_block(pa, 0).unwrap(), &b));
-        assert!(c.get_block(PhysAddr(0x40_0011), 0).is_none());
-        assert!(c.get_block(PhysAddr(0x41_0010), 0).is_none());
+        assert!(c.find(pa, 0).is_none());
+        let i = c.insert(pa, block(0x10));
+        assert_eq!(c.find(pa, 0), Some(i));
+        assert_eq!(c.block(i).insts[0].off, 0x10);
+        assert!(c.find(PhysAddr(0x40_0011), 0).is_none());
+        assert!(c.find(PhysAddr(0x41_0010), 0).is_none());
     }
 
     #[test]
-    fn generation_bump_drops_every_block() {
+    fn generation_bump_drops_every_block_and_link() {
         let mut c = DecodedCache::new();
-        c.get_block(PhysAddr(0x1000), 0);
-        c.put_block(PhysAddr(0x1000), block(0));
-        c.put_block(PhysAddr(0x2008), block(8));
-        assert!(
-            c.get_block(PhysAddr(0x1000), 1).is_none(),
-            "stale gen must miss"
-        );
-        assert!(c.get_block(PhysAddr(0x2008), 1).is_none());
-        // Re-populated under the new generation.
-        c.put_block(PhysAddr(0x1000), block(0));
-        assert!(c.get_block(PhysAddr(0x1000), 1).is_some());
-        assert!(c.get_block(PhysAddr(0x2008), 1).is_none());
+        c.find(PhysAddr(0x1000), 0);
+        let a = c.insert(PhysAddr(0x1000), block(0));
+        let b = c.insert(PhysAddr(0x2008), block(8));
+        c.link(a, 0, b);
+        c.link(b, 1, b);
+        assert_eq!(c.block(a).links, [b, NO_LINK]);
+        assert!(c.find(PhysAddr(0x1000), 1).is_none(), "stale gen must miss");
+        assert!(c.find(PhysAddr(0x2008), 1).is_none());
+        // Re-populated under the new generation: the arena restarts at
+        // index 0, and a block rebuilt at a reused index carries none
+        // of its predecessor's links.
+        let a2 = c.insert(PhysAddr(0x2008), block(8));
+        assert_eq!(a2, a, "arena indices are reused after a clear");
+        assert_eq!(c.block(a2).links, [NO_LINK; 2]);
+        assert_eq!(c.find(PhysAddr(0x2008), 1), Some(a2));
+        assert!(c.find(PhysAddr(0x1000), 1).is_none());
     }
 
     #[test]
@@ -475,50 +476,16 @@ mod tests {
         // The store has no capacity bound: a large text footprint must
         // not evict anything.
         let mut c = DecodedCache::new();
-        c.get_block(PhysAddr(0), 0);
+        c.find(PhysAddr(0), 0);
         for page in 0..1000u64 {
-            c.put_block(PhysAddr(page * PAGE_SIZE + 4), block(4));
+            c.insert(PhysAddr(page * PAGE_SIZE + 4), block(4));
         }
         for page in 0..1000u64 {
-            assert!(
-                c.get_block(PhysAddr(page * PAGE_SIZE + 4), 0).is_some(),
+            assert_eq!(
+                c.find(PhysAddr(page * PAGE_SIZE + 4), 0),
+                Some(page as u32),
                 "page {page} evicted"
             );
         }
-    }
-
-    #[test]
-    fn chain_links_are_weak_and_write_once() {
-        let a = block(0);
-        let b = block(8);
-        assert!(a.link(0).is_none(), "unpatched edge resolves to none");
-        assert!(a.patch(0, &b), "first patch wins");
-        assert!(!a.patch(0, &b), "second patch is a no-op");
-        assert!(Arc::ptr_eq(&a.link(0).unwrap(), &b));
-        // Self-loops must not keep the block alive through its own link.
-        assert!(b.patch(0, &b));
-        let w = Arc::downgrade(&b);
-        drop(b);
-        assert!(w.upgrade().is_none(), "weak links cannot leak cycles");
-        drop(a.link(0)); // dead edge now resolves to none...
-        assert!(a.link(0).is_none());
-        let c = block(16);
-        assert!(!a.patch(0, &c), "...and cannot be re-patched (write-once)");
-    }
-
-    #[test]
-    fn clear_kills_links_into_the_store() {
-        let mut c = DecodedCache::new();
-        let a = block(0);
-        c.get_block(PhysAddr(0x5000), 0);
-        c.put_block(PhysAddr(0x5000), Arc::clone(&a));
-        c.put_block(PhysAddr(0x5008), block(8));
-        let b = c.get_block(PhysAddr(0x5008), 0).unwrap();
-        assert!(a.patch(0, &b));
-        drop(b);
-        assert!(a.link(0).is_some(), "the store keeps the successor alive");
-        c.clear();
-        assert!(c.get_block(PhysAddr(0x5000), 0).is_none());
-        assert!(a.link(0).is_none(), "a dead link resolves to none");
     }
 }

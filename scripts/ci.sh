@@ -8,6 +8,9 @@ cargo build --release
 cargo build --release --benches
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings as errors: a deleted or privatised item must
+# not leave a stale intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Smoke-run the bench harness (1 sample) and gate the cheap, stable
 # benches against the committed baseline: a >30% regression of the

@@ -330,6 +330,95 @@ fn tight_loop_identical_at_every_fuel_cutoff() {
     }
 }
 
+/// A loop split into four blocks by a parity test, every iteration
+/// [`SPLIT_ITER`] instructions whichever way it goes:
+///
+/// ```text
+///         li   s1, iters          ; stepped: no fetch memo yet
+/// top:    addi a0, a0, 1          ; block B: edges to even / odd
+///         andi t0, a0, 1
+///         beq  t0, zero, even
+/// odd:    addi a1, a1, 3          ; block C: edge to join
+///         beq  zero, zero, join
+/// even:   addi a2, a2, 5          ; block D: edges to top / exit
+///         nop
+/// join:   addi s1, s1, -1         ; block E: edges to top / exit
+///         bne  s1, zero, top
+///         halt                    ; block H
+/// ```
+fn split_loop(target: TargetIsa, iters: i64) -> Vec<u8> {
+    let mut f = FuncBuilder::new("t", target);
+    let (top, even, join) = (f.new_label(), f.new_label(), f.new_label());
+    f.li(abi::S1, iters);
+    f.bind(top);
+    f.addi(abi::A0, abi::A0, 1);
+    f.andi(abi::T0, abi::A0, 1);
+    f.beq(abi::T0, abi::ZERO, even);
+    f.addi(abi::A1, abi::A1, 3);
+    f.beq(abi::ZERO, abi::ZERO, join);
+    f.bind(even);
+    f.addi(abi::A2, abi::A2, 5);
+    f.nop();
+    f.bind(join);
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::ZERO, top);
+    f.halt();
+    isa_of(target).encode(&f.finish()).unwrap().bytes
+}
+
+/// Instructions per [`split_loop`] iteration, on either path.
+const SPLIT_ITER: u64 = 7;
+
+/// [`split_loop`] driven in small fuel quanta, so the lane is
+/// re-entered hundreds of times: each quantum ends at `top` and the
+/// next one enters the lane there afresh. The block lane must match the
+/// step path after every quantum (and at every fuel cutoff of a short
+/// run), and its store must do each piece of work once: one build per
+/// block (B, C, D, E, H) and one patch per distinct edge the loop
+/// takes (B→C, B→D, C→E, D→B, E→B and the exit E→H), however often the
+/// lane is re-entered.
+#[test]
+fn split_loop_resolves_each_edge_once_across_lane_reentries() {
+    const ITERS: u64 = 401; // odd, so the exit leaves through E
+    for target in [TargetIsa::Host, TargetIsa::Nxp, TargetIsa::Arm64] {
+        let short = split_loop(target, 5);
+        for fuel in 0..=2 + 5 * SPLIT_ITER {
+            diff_run(target, &short, fuel, &format!("split loop {target:?}"));
+        }
+        let bytes = split_loop(target, ITERS as i64);
+        // Whole iterations per quantum, at least three: at two, every
+        // quantum would end on D→B and the lane would never follow it.
+        // ITERS leaves a remainder, so the last quantum follows the
+        // exit edge and halts.
+        for per_quantum in [3, 4, 5] {
+            let quantum = per_quantum * SPLIT_ITER;
+            let [(blocks, chain), (step, _)] = ENGINES.map(|engine| {
+                let (mut mem, cr3) = fixture(target, &bytes);
+                let mut core = core_for(target, engine, cr3);
+                let env = MemEnv::paper_default();
+                let mut snaps = vec![snap(core.run(&mut mem, &env, 1), &core)];
+                while snaps.last().unwrap().stop == StopReason::OutOfFuel {
+                    snaps.push(snap(core.run(&mut mem, &env, quantum), &core));
+                }
+                (snaps, *core.chain_counters())
+            });
+            let label = format!("{target:?} at {quantum}-instruction quanta");
+            assert_eq!(blocks, step, "{label}: block vs step");
+            let last = blocks.last().unwrap();
+            assert_eq!(last.stop, StopReason::Halt, "{label}");
+            assert_eq!(
+                last.regs[abi::A0.0 as usize],
+                0x2000 * abi::A0.0 as u64 + ITERS,
+                "{label}: iterations"
+            );
+            let quanta = ITERS.div_ceil(per_quantum);
+            assert_eq!(blocks.len() as u64, 1 + quanta, "{label}: quanta run");
+            assert_eq!(chain.block_builds, 5, "{label}: one build per block");
+            assert_eq!(chain.chain_patches, 6, "{label}: one patch per edge");
+        }
+    }
+}
+
 /// Lays out the self-modifying-text program. `patch` is the 8-byte
 /// payload the store writes over the instruction at `victim_off`; both
 /// depend on the encoding, so [`smc_program`] iterates to a fixpoint.
