@@ -7,7 +7,7 @@
 //! thread.
 
 use super::{Machine, PendingWake, RunError};
-use crate::descriptor::MigrationDescriptor;
+use crate::descriptor::{DescError, MigrationDescriptor};
 use crate::health::BreakerState;
 use flick_mem::VirtAddr;
 use flick_os::OsTiming;
@@ -394,10 +394,10 @@ impl Machine {
                 return Ok(());
             }
             // Lost or damaged burst: demand retransmission of the
-            // retained wire bytes and re-arm the watchdog.
+            // retained reply and re-arm the watchdog.
             attempt += 1;
             // A crashed or unplugged device cannot answer the demand —
-            // its retained reply bytes died with it. A hung one still
+            // its retained reply died with it. A hung one still
             // can (link up), so it only fails over once the retry
             // budget exhausts.
             let fault = self.plan.device_state(wake.chan, self.hosts[hc].clock().now());
@@ -406,7 +406,7 @@ impl Machine {
             // its device: the reply (and its retained retransmit copy)
             // died with the old incarnation, so re-execute — the
             // rejoined device reading healthy does not make the stale
-            // bytes deliverable.
+            // reply deliverable.
             let stale = self.chans[wake.chan].incarnation != wake.incarnation;
             if dead_now
                 || stale
@@ -432,13 +432,12 @@ impl Machine {
                     stage: "nxp-to-host",
                 });
             }
-            let Some((chan, bytes)) = self.retained_n2h.get(&pid).cloned() else {
+            let Some(&(chan, desc)) = self.retained_n2h.get(&pid) else {
                 return Err(RunError::Protocol {
                     side: Side::Host,
                     context: "no retained descriptor to retransmit",
                 });
             };
-            let seq = MigrationDescriptor::from_bytes(&bytes).map_or(0, |d| d.seq);
             self.stats.bump("retransmits");
             let now = self.hosts[hc].clock().now();
             self.trace.record_on(
@@ -446,11 +445,11 @@ impl Machine {
                 now,
                 Event::Retransmit {
                     to: Side::Host,
-                    seq,
+                    seq: desc.seq,
                     attempt,
                 },
             );
-            expect_msi = self.send_n2h(CoreId::host(hc), chan, now, bytes);
+            expect_msi = self.send_n2h(CoreId::host(hc), chan, now, desc.to_bytes());
             self.kernel.task_mut(pid)?.deadline =
                 Some(self.hosts[hc].clock().now() + timing.retry.migration_watchdog);
         }
@@ -474,23 +473,23 @@ impl Machine {
             // due descriptor that concerns *this* wakeup — ours by
             // pid, a stale duplicate to drain, or a corrupt burst
             // (unattributable, so whoever looks first NAKs it).
+            // The predicate's verdict on the burst it claims is the
+            // last one it returns, so that parse is reused below.
             let seqs = &self.chans[chan];
+            let mut claimed = Err(DescError::TooShort);
             let Some(bytes) = self.fabric.take_host_desc_where(chan, now, |b| {
-                match MigrationDescriptor::from_bytes_checked(b) {
+                claimed = MigrationDescriptor::from_bytes_checked(b);
+                match claimed {
                     Err(_) => true,
                     Ok(d) => seqs.host_has_accepted(d.seq) || d.pid == pid,
                 }
             }) else {
                 return Ok(None);
             };
-            match MigrationDescriptor::from_bytes_checked(&bytes) {
+            match claimed {
                 Err(_) => {
                     self.stats.bump("crc_rejects");
-                    let seq = self
-                        .retained_n2h
-                        .get(&pid)
-                        .and_then(|(_, b)| MigrationDescriptor::from_bytes(b))
-                        .map_or(0, |d| d.seq);
+                    let seq = self.retained_n2h.get(&pid).map_or(0, |(_, d)| d.seq);
                     self.trace.record_on(
                         CoreId::host(hc),
                         now,

@@ -122,7 +122,7 @@ impl Machine {
             None => stack.push(to),
         }
         desc.seq = self.chans[to].next_h2n();
-        self.retained_h2n.insert(pid, (to, desc.to_bytes()));
+        self.retained_h2n.insert(pid, (to, *desc));
     }
 
     /// Re-executes `pid`'s retained host→NxP leg on a surviving NxP
@@ -139,16 +139,10 @@ impl Machine {
         pid: u64,
     ) -> Result<Option<PendingWake>, RunError> {
         self.refresh_fleet(hc);
-        let Some((dead, bytes)) = self.retained_h2n.get(&pid).cloned() else {
+        let Some(&(dead, mut desc)) = self.retained_h2n.get(&pid) else {
             return Err(RunError::Protocol {
                 side: Side::Host,
                 context: "no retained descriptor to re-execute",
-            });
-        };
-        let Some(mut desc) = MigrationDescriptor::from_bytes(&bytes) else {
-            return Err(RunError::Protocol {
-                side: Side::Host,
-                context: "retained host-to-nxp descriptor does not parse",
             });
         };
         let Some(nc) = self.pick_failover_target(dead) else {

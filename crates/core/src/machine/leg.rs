@@ -33,18 +33,17 @@ impl Machine {
             }
         }
         out.seq = self.chans[nc].next_n2h();
-        let bytes = out.to_bytes();
         let now = self.nxps[nc].clock().now();
         self.obs
             .mark(out.span, SpanStage::NxpSubmit, now, CoreId::nxp(nc));
-        self.retained_n2h.insert(pid, (nc, bytes.clone()));
+        self.retained_n2h.insert(pid, (nc, out));
         // A crashed or unplugged device cannot DMA its reply out — the
         // burst and its MSI die on the card. (A *hung* one still can:
         // the link is up, only the inbound poll loop stopped.) The
         // host-side watchdog notices the silence and fails over.
         let msi_at = match self.plan.device_state(nc, now) {
             Some(DeviceFaultKind::Crash | DeviceFaultKind::Unplug) => None,
-            _ => self.send_n2h(CoreId::nxp(nc), nc, now, bytes),
+            _ => self.send_n2h(CoreId::nxp(nc), nc, now, out.to_bytes()),
         };
         Ok(PendingWake {
             msi_at,
@@ -230,15 +229,15 @@ impl Machine {
             core.clock().now(),
             Event::NxpContextSwitch { switch_in: false },
         );
-        // The wire length does not depend on `seq`, so the event can be
-        // recorded before the sequence number is assigned.
+        // The wire length is fixed, so the event can be recorded before
+        // the sequence number is assigned.
         self.trace.record_on(
             on,
             core.clock().now(),
             Event::DescriptorSent {
                 from: Side::Nxp,
                 kind: out.kind.label(),
-                bytes: out.to_bytes().len(),
+                bytes: L::SIZE as usize,
             },
         );
         Ok(out)

@@ -23,7 +23,7 @@ use crate::topology::{NxpPlacement, Topology};
 use channel::ChannelSeqs;
 use flick_cpu::{ChainCounters, Core, CoreConfig, Exception, InstFaultKind, MemEnv, StopReason};
 use flick_isa::{abi, IsaId, Reg};
-use flick_mem::{PhysMem, VirtAddr};
+use flick_mem::{PhysMem, U64BuildHasher, VirtAddr};
 use flick_os::{Kernel, KernelError, LoadError, OsTiming, RunQueues};
 use flick_pcie::{InterruptController, PcieFabric};
 use flick_sim::trace::Side;
@@ -39,6 +39,11 @@ use std::fmt;
 
 /// Instructions per scheduling quantum (~20 µs at host speed).
 const QUANTUM: u64 = 50_000;
+
+/// Per-thread state keyed by pid. Pids are small unique integers, so
+/// the deterministic one-multiply hasher spreads them without
+/// SipHash's per-probe cost on every crossing.
+type PidMap<V> = HashMap<u64, V, U64BuildHasher>;
 
 /// Why a run failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -480,22 +485,22 @@ impl MachineBuilder {
             nxp_timing: self.nxp_timing.unwrap_or_else(NxpTiming::paper_default),
             trace: Trace::new(self.trace.unwrap_or_default()),
             stats: Stats::default(),
-            vas: HashMap::new(),
+            vas: PidMap::default(),
             symbols: HashMap::new(),
             plan: self.fault_plan.unwrap_or_else(FaultPlan::none),
             emus: (0..topology.host_cores).map(|_| None).collect(),
             chans: vec![ChannelSeqs::default(); topology.nxp_cores],
-            retained_n2h: HashMap::new(),
-            retained_h2n: HashMap::new(),
+            retained_n2h: PidMap::default(),
+            retained_h2n: PidMap::default(),
             health: HealthMonitor::new(topology.nxp_cores),
-            nxp_of: HashMap::new(),
+            nxp_of: PidMap::default(),
             placement: self.nxp_placement.unwrap_or_default(),
             rr_next: 0,
             obs: SpanRecorder::new(self.observability.unwrap_or(false)),
             obs_stats: Stats::default(),
             next_span: 1,
-            span_of: HashMap::new(),
-            last_nx_fault: HashMap::new(),
+            span_of: PidMap::default(),
+            last_nx_fault: PidMap::default(),
             retired: 0,
             retired_emu_insts: 0,
             fuel_end: u64::MAX,
@@ -527,7 +532,7 @@ pub struct Machine {
     nxp_timing: NxpTiming,
     trace: Trace,
     stats: Stats,
-    vas: HashMap<u64, ProcessVas>,
+    vas: PidMap<ProcessVas>,
     symbols: HashMap<u64, std::collections::BTreeMap<String, u64>>,
     /// Seeded fault injection for the interconnect (inactive by
     /// default).
@@ -537,16 +542,16 @@ pub struct Machine {
     emus: Vec<Option<Core>>,
     /// Per-channel sequence-number state (one entry per NxP).
     chans: Vec<ChannelSeqs>,
-    /// Channel and wire bytes of each thread's in-flight NxP→host
-    /// descriptor, retained until acceptance so the host can demand
-    /// retransmission.
-    retained_n2h: HashMap<u64, (usize, Vec<u8>)>,
-    /// Channel and wire bytes of each thread's most recent host→NxP
-    /// descriptor, retained by the host driver until the round trip
-    /// completes. When an NxP dies mid-round-trip its device-side state
-    /// (including the retained NxP→host bytes) dies with it, and this
-    /// copy is what failover re-executes on a surviving NxP.
-    retained_h2n: HashMap<u64, (usize, Vec<u8>)>,
+    /// Channel and descriptor of each thread's in-flight NxP→host
+    /// reply, retained until acceptance so the host can demand
+    /// retransmission (re-encoded from this copy: the same wire bytes).
+    retained_n2h: PidMap<(usize, MigrationDescriptor)>,
+    /// Channel and descriptor of each thread's most recent host→NxP
+    /// leg, retained by the host driver until the round trip completes.
+    /// When an NxP dies mid-round-trip its device-side state (including
+    /// the retained NxP→host reply) dies with it, and this copy is what
+    /// failover re-executes on a surviving NxP.
+    retained_h2n: PidMap<(usize, MigrationDescriptor)>,
     /// Per-NxP liveness and circuit-breaker state, driven purely by
     /// *observed* delivery failures/successes on the deterministic
     /// timeline — never by peeking at the fault schedule.
@@ -556,7 +561,7 @@ pub struct Machine {
     /// the innermost (last) entry. Depth exceeds one only when a
     /// cross-accelerator call bounces through the host while an outer
     /// frame stays parked on its own NxP.
-    nxp_of: HashMap<u64, Vec<usize>>,
+    nxp_of: PidMap<Vec<usize>>,
     /// Placement policy for fresh host→NxP calls.
     placement: NxpPlacement,
     /// Round-robin cursor for [`NxpPlacement::RoundRobin`].
@@ -572,11 +577,11 @@ pub struct Machine {
     /// the observability toggle bit-inert.
     next_span: u64,
     /// Span id of each thread's current suspension round trip.
-    span_of: HashMap<u64, u64>,
+    span_of: PidMap<u64>,
     /// Time and host core of each thread's latest NX fault, stashed so
     /// the span that opens at the migrate `ioctl` can backdate its
     /// first mark to the trigger.
-    last_nx_fault: HashMap<u64, (Picos, usize)>,
+    last_nx_fault: PidMap<(Picos, usize)>,
     /// Running total of instructions retired across the whole fleet
     /// (hosts, NxPs, emulators). Bumped after every `Core::run` so the
     /// scheduling loop's fuel accounting reads one field instead of
@@ -996,7 +1001,7 @@ impl Machine {
         // stays O(log n) per wake.
         let mut pending: Vec<BinaryHeap<Reverse<(Picos, u64)>>> =
             (0..n).map(|_| BinaryHeap::new()).collect();
-        let mut wakes: HashMap<u64, PendingWake> = HashMap::new();
+        let mut wakes: PidMap<PendingWake> = PidMap::default();
         let mut slots: Vec<CoreSlot> = vec![CoreSlot::default(); n];
         let mut done: Vec<(u64, Outcome)> = Vec::new();
         let start_insts = self.executed();
@@ -1066,7 +1071,7 @@ impl Machine {
         hc: usize,
         rq: &mut RunQueues,
         pending: &mut [BinaryHeap<Reverse<(Picos, u64)>>],
-        wakes: &mut HashMap<u64, PendingWake>,
+        wakes: &mut PidMap<PendingWake>,
         slots: &mut [CoreSlot],
         done: &mut Vec<(u64, Outcome)>,
         start_insts: u64,
@@ -1452,60 +1457,11 @@ impl Machine {
                     })?
             }
             _ => {
-                // Placement sees only NxPs whose breaker admits work
-                // (closed or half-open). With every device dead, fall
-                // back to the full set and let the delivery loop
-                // detect the failure and degrade gracefully.
                 let want = self.call_target_isa(pid);
-                let live: Vec<usize> = self.health.live().collect();
-                let pool: Vec<usize> = if live.is_empty() {
-                    (0..self.nxps.len()).collect()
-                } else {
-                    live
-                };
-                if pool.is_empty() {
-                    return Err(RunError::Protocol {
-                        side: Side::Host,
-                        context: "placement over a machine with no NxPs",
-                    });
-                }
-                // Narrow to the callee's ISA (read off the faulting
-                // page's PTE tag). When every NxP of that ISA is
-                // breaker-open, prefer a matching-but-unhealthy slot —
-                // delivery failure degrades to host emulation, which
-                // speaks any ISA — over a healthy slot that would
-                // fault `NxViolation` at the first fetch and bounce
-                // the call straight back. A fleet with no slot of the
-                // wanted ISA at all keeps the generic pool.
-                let of_isa: Vec<usize> = pool
-                    .iter()
-                    .copied()
-                    .filter(|&k| self.nxp_isas[k] == want)
-                    .collect();
-                let pool: Vec<usize> = if !of_isa.is_empty() {
-                    of_isa
-                } else {
-                    let all_of_isa: Vec<usize> = (0..self.nxps.len())
-                        .filter(|&k| self.nxp_isas[k] == want)
-                        .collect();
-                    if all_of_isa.is_empty() {
-                        pool
-                    } else {
-                        all_of_isa
-                    }
-                };
-                let nc = match self.placement {
-                    NxpPlacement::RoundRobin => {
-                        let k = pool[self.rr_next % pool.len()];
-                        self.rr_next = self.rr_next.wrapping_add(1);
-                        k
-                    }
-                    NxpPlacement::LeastLoaded => pool
-                        .iter()
-                        .copied()
-                        .min_by_key(|&k| (self.nxps[k].clock().now(), k))
-                        .unwrap_or(pool[0]),
-                };
+                let nc = self.place_call(want).ok_or(RunError::Protocol {
+                    side: Side::Host,
+                    context: "placement over a machine with no NxPs",
+                })?;
                 self.nxp_of.entry(pid).or_default().push(nc);
                 nc
             }
@@ -1595,10 +1551,10 @@ impl Machine {
             _ => self.stats.bump("returns_host_to_nxp"),
         }
 
-        // Retain the h2n wire bytes host-side for as long as the round
+        // Retain the h2n descriptor host-side for as long as the round
         // trip is open: if the serving NxP dies before the reply lands,
         // this copy is what failover re-executes on a survivor.
-        self.retained_h2n.insert(pid, (nc, desc.to_bytes()));
+        self.retained_h2n.insert(pid, (nc, desc));
         let sent = self.send_h2n(hc, pid, nc, nc, &mut desc, false);
         let Some((nc, in_bytes, in_desc)) = sent else {
             // Pure link death, or the whole fleet is gone: degrade a
@@ -1620,6 +1576,44 @@ impl Machine {
         let wake = self.dispatch_leg(nc, pid, &in_bytes, &in_desc)?;
         self.arm_watchdog(hc, pid, &wake)?;
         Ok(EcallFlow::Suspended(wake))
+    }
+
+    /// The NxP a fresh host→NxP call wanting ISA `want` is placed on,
+    /// or `None` on a machine with no NxPs.
+    ///
+    /// Placement sees only NxPs whose breaker admits work (closed or
+    /// half-open). With every device dead it falls back to the full set
+    /// and lets the delivery loop detect the failure and degrade
+    /// gracefully. It then narrows to the callee's ISA (read off the
+    /// faulting page's PTE tag). When every NxP of that ISA is
+    /// breaker-open, a matching-but-unhealthy slot is preferred —
+    /// delivery failure degrades to host emulation, which speaks any
+    /// ISA — over a healthy slot that would fault `NxViolation` at the
+    /// first fetch and bounce the call straight back. A fleet with no
+    /// slot of the wanted ISA at all keeps the generic pool.
+    fn place_call(&mut self, want: IsaId) -> Option<usize> {
+        let n = self.nxps.len();
+        let any_live = self.health.live().next().is_some();
+        let in_pool = |k: usize| !any_live || !self.health.is_open(k);
+        let of_isa = |k: usize| self.nxp_isas[k] == want;
+        let live_of_isa = (0..n).any(|k| in_pool(k) && of_isa(k));
+        let some_of_isa = (0..n).any(of_isa);
+        let cand = |k: &usize| match (live_of_isa, some_of_isa) {
+            (true, _) => in_pool(*k) && of_isa(*k),
+            (false, true) => of_isa(*k),
+            (false, false) => in_pool(*k),
+        };
+        match self.placement {
+            NxpPlacement::RoundRobin => {
+                let i = self.rr_next.checked_rem((0..n).filter(cand).count())?;
+                let k = (0..n).filter(cand).nth(i);
+                self.rr_next = self.rr_next.wrapping_add(1);
+                k
+            }
+            NxpPlacement::LeastLoaded => (0..n)
+                .filter(cand)
+                .min_by_key(|&k| (self.nxps[k].clock().now(), k)),
+        }
     }
 
     /// Installs a runnable task onto host core `hc` (context switch in).

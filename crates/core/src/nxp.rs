@@ -8,7 +8,7 @@
 //! interpreted FIR on the NxP core.
 
 use flick_cpu::CpuContext;
-use flick_mem::VirtAddr;
+use flick_mem::{U64BuildHasher, VirtAddr};
 use flick_sim::Picos;
 use std::collections::HashMap;
 
@@ -102,7 +102,7 @@ impl NxpThread {
 /// The NxP scheduler/runtime state.
 #[derive(Debug, Default)]
 pub struct NxpRuntime {
-    threads: HashMap<u64, NxpThread>,
+    threads: HashMap<u64, NxpThread, U64BuildHasher>,
 }
 
 impl NxpRuntime {

@@ -9,6 +9,7 @@ use flick_paging::{flags, walk, AddressSpace, BumpFrameAlloc, MapError, PageSize
 use flick_toolchain::layout::NXP_STACK_SLOT;
 use flick_toolchain::layout;
 use flick_toolchain::{MultiIsaImage, Placement, SegmentKind};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -143,7 +144,9 @@ pub struct Kernel {
     user_frames: BumpFrameAlloc,
     /// Next NxP SRAM stack slot.
     next_stack_slot: u64,
-    tasks: Vec<TaskStruct>,
+    /// Task table keyed by pid. Pids are allocated in increasing
+    /// order, so key order is creation order.
+    tasks: BTreeMap<u64, TaskStruct>,
     next_pid: u64,
     console: Vec<String>,
 }
@@ -181,7 +184,7 @@ impl Kernel {
             pt_frames: BumpFrameAlloc::new(PhysAddr(64 << 20), PhysAddr(256 << 20)),
             user_frames: BumpFrameAlloc::new(PhysAddr(256 << 20), PhysAddr(2 << 30)),
             next_stack_slot: 0,
-            tasks: Vec::new(),
+            tasks: BTreeMap::new(),
             next_pid: 1,
             console: Vec::new(),
         }
@@ -197,7 +200,7 @@ impl Kernel {
         &self.map
     }
 
-    /// Number of tasks ever created.
+    /// Number of tasks in the table (reaped tasks are gone from it).
     pub fn task_count(&self) -> usize {
         self.tasks.len()
     }
@@ -206,7 +209,7 @@ impl Kernel {
     /// to audit the exactly-once invariant (every spawned thread is
     /// live in exactly one state or has exited).
     pub fn tasks(&self) -> impl Iterator<Item = &TaskStruct> {
-        self.tasks.iter()
+        self.tasks.values()
     }
 
     /// Looks up a task.
@@ -216,10 +219,7 @@ impl Kernel {
     /// [`KernelError::NoSuchTask`] if `pid` does not exist — reachable
     /// from any caller-supplied pid, so a typed error, not a panic.
     pub fn task(&self, pid: u64) -> Result<&TaskStruct, KernelError> {
-        self.tasks
-            .iter()
-            .find(|t| t.pid == pid)
-            .ok_or(KernelError::NoSuchTask(pid))
+        self.tasks.get(&pid).ok_or(KernelError::NoSuchTask(pid))
     }
 
     /// Mutable task lookup.
@@ -228,10 +228,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchTask`] if `pid` does not exist.
     pub fn task_mut(&mut self, pid: u64) -> Result<&mut TaskStruct, KernelError> {
-        self.tasks
-            .iter_mut()
-            .find(|t| t.pid == pid)
-            .ok_or(KernelError::NoSuchTask(pid))
+        self.tasks.get_mut(&pid).ok_or(KernelError::NoSuchTask(pid))
     }
 
     /// Console lines printed by user programs.
@@ -386,7 +383,7 @@ impl Kernel {
         } else {
             nxp_brk
         };
-        self.tasks.push(task);
+        self.tasks.insert(pid, task);
         Ok(pid)
     }
 
@@ -414,27 +411,23 @@ impl Kernel {
         t.degraded = false;
         t.ready_at = flick_sim::Picos::ZERO;
         t.exit_code = 0;
-        self.tasks.push(t);
+        self.tasks.insert(pid, t);
         Ok(pid)
     }
 
-    /// Removes a zombie task from the table. The task table is a
-    /// linear-scan vector, so long-running serving loops reap finished
-    /// request tasks to keep every `task(pid)` lookup O(live tasks)
-    /// instead of O(all requests ever served). The process's memory is
-    /// untouched — it belongs to the prototype task's address space.
+    /// Removes a zombie task from the table. Long-running serving loops
+    /// reap finished request tasks so the table holds live tasks, not
+    /// every request ever served. The process's memory is untouched —
+    /// it belongs to the prototype task's address space.
     ///
     /// # Errors
     ///
     /// [`KernelError::NoSuchTask`] if `pid` does not exist.
     pub fn reap_task(&mut self, pid: u64) -> Result<(), KernelError> {
-        let i = self
-            .tasks
-            .iter()
-            .position(|t| t.pid == pid)
-            .ok_or(KernelError::NoSuchTask(pid))?;
-        self.tasks.remove(i);
-        Ok(())
+        self.tasks
+            .remove(&pid)
+            .map(drop)
+            .ok_or(KernelError::NoSuchTask(pid))
     }
 
     /// The Flick hook: after an NX instruction fault, save the faulting

@@ -56,9 +56,11 @@ echo "topology smoke matrix: 4 configurations ok"
 # pins the single-failover counters (replacement, re-execution, a
 # second survivor dying before its kick) beside it, then the example
 # drives 8 more seeds end to end — it asserts its results against a
-# fault-free twin internally.
+# fault-free twin internally. The allocation-budget suite holds every
+# crossing to one heap allocation (its wire buffer) in release.
 cargo test -q --release --test failover
 cargo test -q --release --test error_paths
+cargo test -q --release --test crossing_allocs
 for seed in 1 2 3 4 5 6 7 8; do
     cargo run --release --example failover -- "$seed" > /dev/null
 done

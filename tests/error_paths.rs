@@ -147,7 +147,10 @@ fn stack_overflow_on_host_faults_eventually() {
 
 // ---- fault-during-migration ------------------------------------------------
 
-use flick_sim::FaultPlan;
+use flick::MigrationDescriptor;
+use flick_mem::VirtAddr;
+use flick_sim::{Event, FaultPlan};
+use flick_toolchain::layout;
 
 /// Runs `build` on a machine with `plan` installed; returns the machine
 /// for stats inspection plus the run result.
@@ -224,6 +227,53 @@ fn corrupt_nested_return_leg_recovers() {
     assert_eq!(out.exit_code, 8);
     assert_eq!(out.stats.get("crc_rejects"), 1);
     assert_eq!(out.stats.get("retransmits"), 1);
+}
+
+#[test]
+fn corrupt_reply_is_retransmitted_from_the_retained_descriptor() {
+    // The NxP→host reply (the run's second burst) is corrupted once. The
+    // host's checksum rejects it and demands a retransmission, which is
+    // re-encoded from the retained reply descriptor. The retransmit must
+    // carry the sequence number of the reply first sent, be accepted as
+    // new rather than dropped as a duplicate, and wake the thread with
+    // exactly the descriptor a fault-free run delivers.
+    let run_traced = |plan: FaultPlan| {
+        let mut p = ProgramBuilder::new("err");
+        null_call(&mut p);
+        let mut m = Machine::builder().fault_plan(plan).build();
+        let pid = m.load_program(&mut p).expect("load");
+        let out = m.run(pid).expect("recovered run");
+        let mut page = [0u8; 128];
+        m.stage_read(pid, VirtAddr(layout::DESC_PAGE_VA), &mut page)
+            .expect("descriptor page");
+        (m, out, page)
+    };
+    let (_, _, clean) = run_traced(FaultPlan::none());
+    let reply = MigrationDescriptor::from_bytes_checked(&clean).expect("clean reply");
+    let plan = FaultPlan::seeded(7)
+        .with_corrupt(1.0)
+        .with_skip(1)
+        .with_max_injections(1);
+    let (m, out, page) = run_traced(plan);
+    assert_eq!(out.exit_code, 42);
+    assert_eq!(out.stats.get("crc_rejects"), 1);
+    assert_eq!(out.stats.get("retransmits"), 1);
+    assert_eq!(out.stats.get("duplicate_descs_dropped"), 0);
+    let retransmitted: Vec<u64> = m
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            Event::Retransmit {
+                to: Side::Host,
+                seq,
+                ..
+            } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retransmitted, [reply.seq]);
+    assert_eq!(page, clean, "the retransmit delivers the same descriptor");
 }
 
 #[test]
@@ -527,8 +577,6 @@ fn staging_paths_report_typed_errors() {
     // `stage_read`) used to `.expect(...)` and abort the process on NxP
     // window exhaustion or an unmapped address. They must surface typed
     // errors instead.
-    use flick_mem::VirtAddr;
-
     let mut m = Machine::paper_default();
     let mut p = ProgramBuilder::new("stage");
     let mut main = FuncBuilder::new("main", TargetIsa::Host);
