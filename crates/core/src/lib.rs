@@ -18,9 +18,9 @@
 //!   linker-relocated allocators of §III-D.
 //! * [`services`] — the `ecall` interface between user FIR code, the
 //!   kernel (`ioctl` migrate-and-suspend) and the NxP runtime.
-//! * [`nxp`] — the **NxP scheduler/runtime**: polls the DMA status
-//!   register, context-switches threads in and out, redirects
-//!   exec-faults into the NxP migration handler.
+//! * [`nxp`] — the **NxP runtime**'s cycle costs (status-register
+//!   poll, dispatch, context switch, exec-fault entry) and the
+//!   per-thread contexts it saves; the machine runs its scheduler.
 //! * [`machine`] — the [`Machine`]: host cores + NxP cores + DMA +
 //!   interrupt controller + kernel, with the full event loop for NX
 //!   page-fault-triggered bidirectional thread migration.

@@ -346,7 +346,7 @@ impl Machine {
                             context: "expected wake-up MSI was not queued",
                         });
                     };
-                    if let Some(&span) = self.span_of.get(&pid) {
+                    if let Some(span) = self.threads.get(&pid).and_then(|t| t.span) {
                         self.obs
                             .mark(span, SpanStage::MsiDelivery, now, CoreId::host(hc));
                     }
@@ -432,7 +432,7 @@ impl Machine {
                     stage: "nxp-to-host",
                 });
             }
-            let Some(&(chan, desc)) = self.retained_n2h.get(&pid) else {
+            let Some((chan, desc)) = self.threads.get(&pid).and_then(|t| t.n2h) else {
                 return Err(RunError::Protocol {
                     side: Side::Host,
                     context: "no retained descriptor to retransmit",
@@ -489,7 +489,11 @@ impl Machine {
             match claimed {
                 Err(_) => {
                     self.stats.bump("crc_rejects");
-                    let seq = self.retained_n2h.get(&pid).map_or(0, |(_, d)| d.seq);
+                    let seq = self
+                        .threads
+                        .get(&pid)
+                        .and_then(|t| t.n2h)
+                        .map_or(0, |(_, d)| d.seq);
                     self.trace.record_on(
                         CoreId::host(hc),
                         now,
@@ -541,7 +545,12 @@ impl Machine {
                         self.hosts[hc].clock().now(),
                         Event::ThreadWoken { pid },
                     );
-                    if let Some(span) = self.span_of.remove(&pid) {
+                    // The round trip is closed: the retained copies go
+                    // with it.
+                    let thread = self.thread_mut(pid)?;
+                    thread.h2n = None;
+                    thread.n2h = None;
+                    if let Some(span) = thread.span.take() {
                         self.obs.mark(
                             span,
                             SpanStage::Woken,
@@ -562,8 +571,6 @@ impl Machine {
                                 .record_hist("span:total", s.total().as_picos());
                         }
                     }
-                    self.retained_n2h.remove(&pid);
-                    self.retained_h2n.remove(&pid);
                     self.health.note_activity(chan, now);
                     return Ok(Some(d.seq));
                 }

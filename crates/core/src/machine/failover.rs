@@ -116,13 +116,14 @@ impl Machine {
                 },
             );
         }
-        let stack = self.nxp_of.entry(pid).or_default();
-        match stack.last_mut() {
-            Some(top) => *top = to,
-            None => stack.push(to),
-        }
         desc.seq = self.chans[to].next_h2n();
-        self.retained_h2n.insert(pid, (to, *desc));
+        if let Some(thread) = self.threads.get_mut(&pid) {
+            match thread.on_nxps.last_mut() {
+                Some(top) => *top = to,
+                None => thread.on_nxps.push(to),
+            }
+            thread.h2n = Some((to, *desc));
+        }
     }
 
     /// Re-executes `pid`'s retained host→NxP leg on a surviving NxP
@@ -139,7 +140,7 @@ impl Machine {
         pid: u64,
     ) -> Result<Option<PendingWake>, RunError> {
         self.refresh_fleet(hc);
-        let Some(&(dead, mut desc)) = self.retained_h2n.get(&pid) else {
+        let Some((dead, mut desc)) = self.threads.get(&pid).and_then(|t| t.h2n) else {
             return Err(RunError::Protocol {
                 side: Side::Host,
                 context: "no retained descriptor to re-execute",
@@ -203,10 +204,16 @@ impl Machine {
 
     /// Runs one segment of NxP text through the host-side interpreter
     /// core, from the faulting target until control returns to host
-    /// text. Nested cross-ISA calls hand back and forth naturally: the
-    /// interpreter faults `IsaMismatch` at host text and the native
-    /// core faults `NxViolation` at NxP text.
-    pub(super) fn emulate_segment(&mut self, hc: usize, pid: u64, va: VirtAddr, fuel: u64) -> Result<(), RunError> {
+    /// text, with whatever is left of the run's fuel budget. Nested
+    /// cross-ISA calls hand back and forth naturally: the interpreter
+    /// faults `IsaMismatch` at host text and the native core faults
+    /// `NxViolation` at NxP text.
+    pub(super) fn emulate_segment(
+        &mut self,
+        hc: usize,
+        pid: u64,
+        va: VirtAddr,
+    ) -> Result<(), RunError> {
         self.stats.bump("emulated_calls");
         self.trace.record_on(
             CoreId::host(hc),
@@ -249,8 +256,8 @@ impl Machine {
             emu.set_cr3(host_cr3);
         }
         emu.clock_mut().sync_to(host_now);
-        let mut left = fuel;
         loop {
+            let left = self.fuel_end.saturating_sub(self.retired);
             if left == 0 {
                 return Err(RunError::FuelExhausted);
             }
@@ -260,9 +267,7 @@ impl Machine {
             })?;
             let before = emu.counters().instructions;
             let stop = emu.run(&mut self.mem, &self.env, left);
-            let ran = emu.counters().instructions - before;
-            self.retired += ran;
-            left = left.saturating_sub(ran);
+            self.retired += emu.counters().instructions - before;
             match stop {
                 StopReason::Fault(Exception::InstFault {
                     va: back,

@@ -24,19 +24,18 @@ impl Machine {
         desc: &MigrationDescriptor,
     ) -> Result<PendingWake, RunError> {
         let mut out = self.run_leg(nc, pid, in_bytes, desc)?;
+        out.seq = self.chans[nc].next_n2h();
+        let thread = self.thread_mut(pid)?;
         // A final return means the thread has left this NxP: pop its
         // innermost continuation. (An escalated call keeps the frame
         // parked here — the entry stays until that frame returns.)
         if out.kind == DescKind::NxpToHostReturn {
-            if let Some(stack) = self.nxp_of.get_mut(&pid) {
-                stack.pop();
-            }
+            thread.on_nxps.pop();
         }
-        out.seq = self.chans[nc].next_n2h();
+        thread.n2h = Some((nc, out));
         let now = self.nxps[nc].clock().now();
         self.obs
             .mark(out.span, SpanStage::NxpSubmit, now, CoreId::nxp(nc));
-        self.retained_n2h.insert(pid, (nc, out));
         // A crashed or unplugged device cannot DMA its reply out — the
         // burst and its MSI die on the card. (A *hung* one still can:
         // the link is up, only the inbound poll loop stopped.) The
@@ -68,21 +67,24 @@ impl Machine {
         desc: &MigrationDescriptor,
     ) -> Result<MigrationDescriptor, RunError> {
         let nxp_stack_ptr = self.kernel.task(pid)?.nxp_stack_ptr.as_u64();
-        // The leg runs on this slot's ISA: take that ISA's migration
-        // handler pair. A program without functions of the slot's ISA
-        // has no such handlers — any exec fault on the leg then fails
-        // loudly instead of jumping through a wrong-ISA handler.
-        let handlers = self
-            .vas
-            .get(&pid)
-            .and_then(|v| v.accel_handlers(self.nxp_isas[nc]))
-            .map(|(entry, lp)| (lp, entry));
-        let span = self.span_of.get(&pid).copied().unwrap_or(0);
         let desc_phys = self.nxp_desc_phys();
         let on = CoreId::nxp(nc);
         let nt = &self.nxp_timing;
         let core = &mut self.nxps[nc];
-        let thread = self.nxp_rt.thread_mut(pid);
+        let record = self.threads.get_mut(&pid).ok_or(RunError::Protocol {
+            side: Side::Nxp,
+            context: "descriptor for a thread with no per-thread record",
+        })?;
+        // The leg runs on this slot's ISA: take that ISA's migration
+        // handler pair. A program without functions of the slot's ISA
+        // has no such handlers — any exec fault on the leg then fails
+        // loudly instead of jumping through a wrong-ISA handler.
+        let handlers = record
+            .vas
+            .accel_handlers(self.nxp_isas[nc])
+            .map(|(entry, lp)| (lp, entry));
+        let span = record.span.unwrap_or(0);
+        let thread = &mut record.nxp;
 
         self.mem.write_bytes(desc_phys, in_bytes);
         core.clock_mut().advance(nt.context_switch);

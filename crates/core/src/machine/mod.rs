@@ -16,7 +16,7 @@ mod serving;
 use crate::descriptor::{DescKind, MigrationDescriptor};
 use crate::handlers;
 use crate::health::HealthMonitor;
-use crate::nxp::{NxpRuntime, NxpTiming};
+use crate::nxp::{NxpThread, NxpTiming};
 use crate::serving::ServingCtx;
 use crate::services::{self as svc, desc_layout as L};
 use crate::topology::{NxpPlacement, Topology};
@@ -39,11 +39,6 @@ use std::fmt;
 
 /// Instructions per scheduling quantum (~20 µs at host speed).
 const QUANTUM: u64 = 50_000;
-
-/// Per-thread state keyed by pid. Pids are small unique integers, so
-/// the deterministic one-multiply hasher spreads them without
-/// SipHash's per-probe cost on every crossing.
-type PidMap<V> = HashMap<u64, V, U64BuildHasher>;
 
 /// Why a run failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -285,6 +280,61 @@ struct PendingWake {
     incarnation: u64,
 }
 
+/// Everything the machine keeps for one thread beside its kernel
+/// `task_struct`. Created at load or request spawn and dropped whole
+/// when a request task is reaped; the round-trip fields are `Some` only
+/// while a crossing is open (DESIGN.md §10 lists when each is set).
+#[derive(Debug)]
+struct Thread {
+    /// The process's migration handler addresses.
+    vas: ProcessVas,
+    /// The NxP runtime's saved contexts (parks and idle checkpoints).
+    nxp: NxpThread,
+    /// Which NxPs hold the thread's accelerator continuations,
+    /// outermost first: return legs always follow the thread back to
+    /// the innermost (last) entry. Depth exceeds one only when a
+    /// cross-accelerator call bounces through the host while an outer
+    /// frame stays parked on its own NxP.
+    on_nxps: Vec<usize>,
+    /// Time and host core of the latest NX fault, stashed so the span
+    /// that opens at the migrate `ioctl` can backdate its first mark to
+    /// the trigger.
+    nx_fault: Option<(Picos, usize)>,
+    /// Span id of the current suspension round trip.
+    span: Option<u64>,
+    /// Channel and descriptor of the open host→NxP leg, retained by
+    /// the host driver until the round trip completes. When an NxP dies
+    /// mid-round-trip its device-side state (including the retained
+    /// NxP→host reply) dies with it, and this copy is what failover
+    /// re-executes on a surviving NxP.
+    h2n: Option<(usize, MigrationDescriptor)>,
+    /// Channel and descriptor of the in-flight NxP→host reply, retained
+    /// until acceptance so the host can demand retransmission
+    /// (re-encoded from this copy: the same wire bytes).
+    n2h: Option<(usize, MigrationDescriptor)>,
+    /// How the suspended thread expects to be woken, from its
+    /// suspension until the event loop delivers the wake-up.
+    wake: Option<PendingWake>,
+    /// The serving request this task runs (serving mode only).
+    request: Option<usize>,
+}
+
+impl Thread {
+    fn new(vas: ProcessVas, request: Option<usize>) -> Self {
+        Thread {
+            vas,
+            nxp: NxpThread::fresh(),
+            on_nxps: Vec::new(),
+            nx_fault: None,
+            span: None,
+            h2n: None,
+            n2h: None,
+            wake: None,
+            request,
+        }
+    }
+}
+
 /// What one host core currently holds between scheduling turns.
 #[derive(Clone, Copy, Debug, Default)]
 struct CoreSlot {
@@ -481,26 +531,20 @@ impl MachineBuilder {
             fabric: PcieFabric::new(env.latency.clone(), topology.nxp_cores),
             irq: InterruptController::new(),
             kernel,
-            nxp_rt: NxpRuntime::new(),
             nxp_timing: self.nxp_timing.unwrap_or_else(NxpTiming::paper_default),
             trace: Trace::new(self.trace.unwrap_or_default()),
             stats: Stats::default(),
-            vas: PidMap::default(),
+            threads: HashMap::default(),
             symbols: HashMap::new(),
             plan: self.fault_plan.unwrap_or_else(FaultPlan::none),
             emus: (0..topology.host_cores).map(|_| None).collect(),
             chans: vec![ChannelSeqs::default(); topology.nxp_cores],
-            retained_n2h: PidMap::default(),
-            retained_h2n: PidMap::default(),
             health: HealthMonitor::new(topology.nxp_cores),
-            nxp_of: PidMap::default(),
             placement: self.nxp_placement.unwrap_or_default(),
             rr_next: 0,
             obs: SpanRecorder::new(self.observability.unwrap_or(false)),
             obs_stats: Stats::default(),
             next_span: 1,
-            span_of: PidMap::default(),
-            last_nx_fault: PidMap::default(),
             retired: 0,
             retired_emu_insts: 0,
             fuel_end: u64::MAX,
@@ -528,11 +572,13 @@ pub struct Machine {
     fabric: PcieFabric,
     irq: InterruptController,
     kernel: Kernel,
-    nxp_rt: NxpRuntime,
     nxp_timing: NxpTiming,
     trace: Trace,
     stats: Stats,
-    vas: PidMap<ProcessVas>,
+    /// One record per thread, keyed by pid. Pids are small unique
+    /// integers, so the deterministic one-multiply hasher spreads them
+    /// without SipHash's per-probe cost on every crossing.
+    threads: HashMap<u64, Thread, U64BuildHasher>,
     symbols: HashMap<u64, std::collections::BTreeMap<String, u64>>,
     /// Seeded fault injection for the interconnect (inactive by
     /// default).
@@ -542,26 +588,10 @@ pub struct Machine {
     emus: Vec<Option<Core>>,
     /// Per-channel sequence-number state (one entry per NxP).
     chans: Vec<ChannelSeqs>,
-    /// Channel and descriptor of each thread's in-flight NxP→host
-    /// reply, retained until acceptance so the host can demand
-    /// retransmission (re-encoded from this copy: the same wire bytes).
-    retained_n2h: PidMap<(usize, MigrationDescriptor)>,
-    /// Channel and descriptor of each thread's most recent host→NxP
-    /// leg, retained by the host driver until the round trip completes.
-    /// When an NxP dies mid-round-trip its device-side state (including
-    /// the retained NxP→host reply) dies with it, and this copy is what
-    /// failover re-executes on a surviving NxP.
-    retained_h2n: PidMap<(usize, MigrationDescriptor)>,
     /// Per-NxP liveness and circuit-breaker state, driven purely by
     /// *observed* delivery failures/successes on the deterministic
     /// timeline — never by peeking at the fault schedule.
     health: HealthMonitor,
-    /// Which NxPs hold each thread's accelerator continuations,
-    /// outermost first: return legs always follow the thread back to
-    /// the innermost (last) entry. Depth exceeds one only when a
-    /// cross-accelerator call bounces through the host while an outer
-    /// frame stays parked on its own NxP.
-    nxp_of: PidMap<Vec<usize>>,
     /// Placement policy for fresh host→NxP calls.
     placement: NxpPlacement,
     /// Round-robin cursor for [`NxpPlacement::RoundRobin`].
@@ -576,12 +606,6 @@ pub struct Machine {
     /// wire bytes whether or not recording is on, which is what makes
     /// the observability toggle bit-inert.
     next_span: u64,
-    /// Span id of each thread's current suspension round trip.
-    span_of: PidMap<u64>,
-    /// Time and host core of each thread's latest NX fault, stashed so
-    /// the span that opens at the migrate `ioctl` can backdate its
-    /// first mark to the trigger.
-    last_nx_fault: PidMap<(Picos, usize)>,
     /// Running total of instructions retired across the whole fleet
     /// (hosts, NxPs, emulators). Bumped after every `Core::run` so the
     /// scheduling loop's fuel accounting reads one field instead of
@@ -592,7 +616,8 @@ pub struct Machine {
     /// exact after the old core is dropped.
     retired_emu_insts: u64,
     /// The `retired` total at which the current run's fuel budget runs
-    /// out. NxP legs run with whatever is left of it.
+    /// out. Host quanta, NxP legs and emulated segments run with
+    /// whatever is left of it.
     fuel_end: u64,
     /// Open-loop serving state while [`Machine::run_serving`] drives
     /// the event loop; `None` in every other mode, which keeps the
@@ -662,7 +687,7 @@ impl Machine {
             accel,
         };
         let pid = self.kernel.create_process(&mut self.mem, image)?;
-        self.vas.insert(pid, vas);
+        self.threads.insert(pid, Thread::new(vas, None));
         self.symbols.insert(pid, image.symbols.clone());
         Ok(pid)
     }
@@ -1001,11 +1026,9 @@ impl Machine {
         // stays O(log n) per wake.
         let mut pending: Vec<BinaryHeap<Reverse<(Picos, u64)>>> =
             (0..n).map(|_| BinaryHeap::new()).collect();
-        let mut wakes: PidMap<PendingWake> = PidMap::default();
         let mut slots: Vec<CoreSlot> = vec![CoreSlot::default(); n];
         let mut done: Vec<(u64, Outcome)> = Vec::new();
-        let start_insts = self.executed();
-        self.fuel_end = start_insts.saturating_add(fuel);
+        self.fuel_end = self.executed().saturating_add(fuel);
         // Closed-loop runs finish when every submitted process exits;
         // a serving run finishes when every request of the open-loop
         // schedule has completed (its `pids` list is empty — work
@@ -1015,7 +1038,7 @@ impl Machine {
             None => done.len() >= pids.len(),
         };
         while !finished(self, &done) {
-            if self.executed() - start_insts >= fuel {
+            if self.executed() >= self.fuel_end {
                 return Err(RunError::FuelExhausted);
             }
             let stealable = rq.total() > 0;
@@ -1034,8 +1057,12 @@ impl Machine {
                 .min_by_key(|&c| (self.hosts[c].clock().now(), c));
             let Some(hc) = hc else {
                 let stuck = match &self.serving {
-                    Some(ctx) => {
-                        let mut live: Vec<u64> = ctx.live.keys().copied().collect();
+                    Some(_) => {
+                        let mut live: Vec<u64> = self
+                            .threads
+                            .iter()
+                            .filter_map(|(&pid, t)| t.request.map(|_| pid))
+                            .collect();
                         live.sort_unstable();
                         live
                     }
@@ -1047,17 +1074,7 @@ impl Machine {
                 };
                 return Err(RunError::Deadlock { stuck });
             };
-            self.core_turn(
-                hc,
-                &mut rq,
-                &mut pending,
-                &mut wakes,
-                &mut slots,
-                &mut done,
-                start_insts,
-                fuel,
-                quantum,
-            )?;
+            self.core_turn(hc, &mut rq, &mut pending, &mut slots, &mut done, quantum)?;
         }
         Ok(done)
     }
@@ -1065,17 +1082,13 @@ impl Machine {
     /// One scheduling turn of host core `hc`: deliver its due
     /// wake-ups, re-queue its preempted task, pick up work (locally,
     /// then by stealing), and run until the next scheduling event.
-    #[allow(clippy::too_many_arguments)]
     fn core_turn(
         &mut self,
         hc: usize,
         rq: &mut RunQueues,
         pending: &mut [BinaryHeap<Reverse<(Picos, u64)>>],
-        wakes: &mut PidMap<PendingWake>,
         slots: &mut [CoreSlot],
         done: &mut Vec<(u64, Outcome)>,
-        start_insts: u64,
-        fuel: u64,
         quantum: u64,
     ) -> Result<(), RunError> {
         // Deliver every wake-up that has already fired on this core,
@@ -1091,7 +1104,8 @@ impl Machine {
             let Some(Reverse((_, pid))) = pending[hc].pop() else {
                 break;
             };
-            let wake = wakes.remove(&pid).ok_or(RunError::Protocol {
+            let wake = self.thread_mut(pid)?.wake.take();
+            let wake = wake.ok_or(RunError::Protocol {
                 side: Side::Host,
                 context: "heaped wake-up without a wake record",
             })?;
@@ -1145,12 +1159,12 @@ impl Machine {
             },
         };
         loop {
-            let used = self.executed() - start_insts;
-            if used >= fuel {
+            let left = self.fuel_end.saturating_sub(self.executed());
+            if left == 0 {
                 return Err(RunError::FuelExhausted);
             }
             let before = self.hosts[hc].counters().instructions;
-            let stop = self.hosts[hc].run(&mut self.mem, &self.env, quantum.min(fuel - used));
+            let stop = self.hosts[hc].run(&mut self.mem, &self.env, quantum.min(left));
             self.retired += self.hosts[hc].counters().instructions - before;
             let code = match stop {
                 StopReason::Halt => self.hosts[hc].reg(abi::A0),
@@ -1167,7 +1181,7 @@ impl Machine {
                                 .unwrap_or_else(|| self.hosts[hc].clock().now()),
                         };
                         pending[hc].push(Reverse((due, pid)));
-                        wakes.insert(pid, wake);
+                        self.thread_mut(pid)?.wake = Some(wake);
                         slots[hc].running = None;
                         return Ok(()); // this core is free for others
                     }
@@ -1197,22 +1211,15 @@ impl Machine {
                     // The span opens only at the migrate ioctl (where
                     // its id is assigned); stash the trigger so the
                     // first mark can be backdated to the fault itself.
-                    self.last_nx_fault
-                        .insert(pid, (self.hosts[hc].clock().now(), hc));
+                    let now = self.hosts[hc].clock().now();
+                    let thread = self.thread_mut(pid)?;
+                    thread.nx_fault = Some((now, hc));
+                    let handler = thread.vas.host_handler;
                     let t = self.kernel.timing().page_fault_path;
                     self.hosts[hc].clock_mut().advance(t);
                     if self.kernel.task(pid)?.degraded {
-                        let used = self.executed() - start_insts;
-                        self.emulate_segment(hc, pid, va, fuel.saturating_sub(used))?;
+                        self.emulate_segment(hc, pid, va)?;
                     } else {
-                        let handler = self
-                            .vas
-                            .get(&pid)
-                            .ok_or(RunError::Protocol {
-                                side: Side::Host,
-                                context: "NX fault in a process with no handler table",
-                            })?
-                            .host_handler;
                         self.kernel
                             .redirect_to_handler(pid, &mut self.hosts[hc], va, handler)?;
                     }
@@ -1448,9 +1455,10 @@ impl Machine {
         // placement policy says.
         let nc = match kind {
             DescKind::HostToNxpReturn => {
-                self.nxp_of
-                    .get(&pid)
-                    .and_then(|stack| stack.last().copied())
+                self.thread_mut(pid)?
+                    .on_nxps
+                    .last()
+                    .copied()
                     .ok_or(RunError::Protocol {
                         side: Side::Host,
                         context: "return leg for a thread with no NxP continuation",
@@ -1462,7 +1470,7 @@ impl Machine {
                     side: Side::Host,
                     context: "placement over a machine with no NxPs",
                 })?;
-                self.nxp_of.entry(pid).or_default().push(nc);
+                self.thread_mut(pid)?.on_nxps.push(nc);
                 nc
             }
         };
@@ -1472,7 +1480,6 @@ impl Machine {
         // span *recording* is enabled (bit-inert observability).
         let span = self.next_span;
         self.next_span += 1;
-        self.span_of.insert(pid, span);
         let (target, ret, args) = match kind {
             DescKind::HostToNxpCall => {
                 let Some(target) = self.kernel.task_mut(pid)?.fault_va.take() else {
@@ -1523,7 +1530,14 @@ impl Machine {
         self.kernel.suspend_for_migration(pid, &self.hosts[hc])?;
         self.hosts[hc].clock_mut().advance(timing.suspend_and_switch);
         self.obs.begin(span, pid, kind.label());
-        if let Some((at, core)) = self.last_nx_fault.remove(&pid) {
+        // Open the round trip on the thread's record. The h2n descriptor
+        // stays retained host-side until the round trip closes: if the
+        // serving NxP dies before the reply lands, this copy is what
+        // failover re-executes on a survivor.
+        let thread = self.thread_mut(pid)?;
+        thread.span = Some(span);
+        thread.h2n = Some((nc, desc));
+        if let Some((at, core)) = thread.nx_fault.take() {
             self.obs.mark(span, SpanStage::NxFault, at, CoreId::host(core));
         }
         self.obs.mark(
@@ -1551,17 +1565,18 @@ impl Machine {
             _ => self.stats.bump("returns_host_to_nxp"),
         }
 
-        // Retain the h2n descriptor host-side for as long as the round
-        // trip is open: if the serving NxP dies before the reply lands,
-        // this copy is what failover re-executes on a survivor.
-        self.retained_h2n.insert(pid, (nc, desc));
         let sent = self.send_h2n(hc, pid, nc, nc, &mut desc, false);
         let Some((nc, in_bytes, in_desc)) = sent else {
             // Pure link death, or the whole fleet is gone: degrade a
             // call to host-side emulation, fail a return leg.
-            self.retained_h2n.remove(&pid);
+            let thread = self.thread_mut(pid)?;
+            thread.h2n = None;
             return if kind == DescKind::HostToNxpCall {
-                self.span_of.remove(&pid);
+                // The call never reached an NxP: drop the continuation
+                // pushed for it, so the next return leg goes to the
+                // frame that is really parked.
+                thread.on_nxps.pop();
+                thread.span = None;
                 self.obs.abandon(span);
                 self.degrade_unwind(hc, pid, &desc)?;
                 Ok(EcallFlow::Resume)
@@ -1629,7 +1644,13 @@ impl Machine {
         Ok(())
     }
 
-
+    /// `pid`'s per-thread record.
+    fn thread_mut(&mut self, pid: u64) -> Result<&mut Thread, RunError> {
+        self.threads.get_mut(&pid).ok_or(RunError::Protocol {
+            side: Side::Host,
+            context: "thread with no per-thread record",
+        })
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The open-loop serving driver: request arrivals as one more
 //! deterministic event source of the machine's event loop.
 
-use super::{Machine, RunError};
+use super::{Machine, RunError, Thread};
 use crate::serving::{ServingCompletion, ServingCtx, ServingReport, ServingRequest};
 use flick_isa::abi;
 use flick_os::RunQueues;
@@ -143,9 +143,15 @@ impl Machine {
         let pid = self.kernel.spawn_task(proto)?;
         // The request task migrates through its tenant's handler table
         // (same address space, same handler VAs).
-        if let Some(v) = self.vas.get(&proto).copied() {
-            self.vas.insert(pid, v);
-        }
+        let vas = self
+            .threads
+            .get(&proto)
+            .map(|t| t.vas)
+            .ok_or(RunError::Protocol {
+                side: Side::Host,
+                context: "request spawn from a tenant with no per-thread record",
+            })?;
+        self.threads.insert(pid, Thread::new(vas, Some(idx)));
         let task = self.kernel.task_mut(pid)?;
         // The request argument rides in A0: the tenant program's
         // `main` dispatches on it (request kind, key, …). Spawning
@@ -156,7 +162,6 @@ impl Machine {
         task.last_core = hc;
         if let Some(ctx) = self.serving.as_mut() {
             ctx.tenants[tenant].busy = true;
-            ctx.live.insert(pid, idx);
         }
         rq.enqueue(hc, pid);
         Ok(())
@@ -176,20 +181,18 @@ impl Machine {
         code: u64,
         rq: &mut RunQueues,
     ) -> Result<(), RunError> {
-        self.span_of.remove(&pid);
-        self.nxp_of.remove(&pid);
-        self.retained_n2h.remove(&pid);
-        self.retained_h2n.remove(&pid);
-        self.last_nx_fault.remove(&pid);
-        self.vas.remove(&pid);
+        let idx = self
+            .threads
+            .remove(&pid)
+            .and_then(|t| t.request)
+            .ok_or(RunError::Protocol {
+                side: Side::Host,
+                context: "serving exit from a task with no live request",
+            })?;
         let now = self.hosts[hc].clock().now();
         let ctx = self.serving.as_mut().ok_or(RunError::Protocol {
             side: Side::Host,
             context: "serving exit outside a serving run",
-        })?;
-        let idx = ctx.live.remove(&pid).ok_or(RunError::Protocol {
-            side: Side::Host,
-            context: "serving exit from a task with no live request",
         })?;
         let req = ctx.reqs[idx];
         ctx.completions.push(ServingCompletion {

@@ -1,16 +1,16 @@
-//! The NxP runtime: scheduler state, timing, and per-thread bookkeeping.
+//! The NxP runtime's cycle costs and the per-thread context it saves.
 //!
 //! On the prototype the NxP has no operating system — just a scheduler
 //! that polls the DMA status register, context-switches threads in when
 //! descriptors arrive, and services the migration handler's runtime
-//! calls (§IV-B). The scheduler's *policy* is implemented natively here
-//! with explicit cycle costs; the migration handler itself runs as
+//! calls (§IV-B). The machine runs that scheduler natively, charging
+//! the [`NxpTiming`] costs, and keeps each thread's [`NxpThread`] in
+//! the thread's own record; the migration handler itself runs as
 //! interpreted FIR on the NxP core.
 
 use flick_cpu::CpuContext;
-use flick_mem::{U64BuildHasher, VirtAddr};
+use flick_mem::VirtAddr;
 use flick_sim::Picos;
-use std::collections::HashMap;
 
 /// Timing of the NxP runtime paths (charged on the NxP clock).
 #[derive(Clone, Debug)]
@@ -67,7 +67,7 @@ impl Default for NxpTiming {
     }
 }
 
-/// Per-thread NxP state held by the scheduler.
+/// Per-thread NxP state saved by the scheduler.
 ///
 /// A thread may hold accelerator frames on several cores at once — an
 /// rv64 function that calls an arm64 function parks its rv64 frame,
@@ -99,48 +99,9 @@ impl NxpThread {
     }
 }
 
-/// The NxP scheduler/runtime state.
-#[derive(Debug, Default)]
-pub struct NxpRuntime {
-    threads: HashMap<u64, NxpThread, U64BuildHasher>,
-}
-
-impl NxpRuntime {
-    /// Creates an empty runtime.
-    pub fn new() -> Self {
-        NxpRuntime::default()
-    }
-
-    /// Per-thread state, created on first touch.
-    pub fn thread_mut(&mut self, pid: u64) -> &mut NxpThread {
-        self.threads.entry(pid).or_insert_with(NxpThread::fresh)
-    }
-
-    /// True when `pid` has previously run on an accelerator.
-    pub fn has_context(&self, pid: u64) -> bool {
-        self.threads
-            .get(&pid)
-            .is_some_and(|t| !t.parks.is_empty() || t.idle.iter().any(Option::is_some))
-    }
-
-    /// Number of threads the scheduler has seen.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn thread_state_created_on_demand() {
-        let mut rt = NxpRuntime::new();
-        assert!(!rt.has_context(5));
-        rt.thread_mut(5).idle[0] = Some(CpuContext::default());
-        assert!(rt.has_context(5));
-        assert_eq!(rt.thread_count(), 1);
-    }
 
     #[test]
     fn at_freq_scales_linearly() {

@@ -20,7 +20,7 @@
 
 use flick_sim::{Picos, Stats};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One request of the open-loop schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,8 +123,6 @@ pub(crate) struct ServingCtx {
     /// so admission order per core is deterministic.
     pub(crate) arrivals: Vec<BinaryHeap<Reverse<(Picos, usize)>>>,
     pub(crate) tenants: Vec<TenantState>,
-    /// Live request tasks: pid → request index.
-    pub(crate) live: HashMap<u64, usize>,
     /// Finished requests, in completion order.
     pub(crate) completions: Vec<ServingCompletion>,
     /// Total requests submitted (the loop's termination target).
@@ -152,7 +150,6 @@ impl ServingCtx {
                     deferred: VecDeque::new(),
                 })
                 .collect(),
-            live: HashMap::new(),
             completions: Vec::with_capacity(total),
             total,
         }

@@ -54,10 +54,12 @@ echo "topology smoke matrix: 4 configurations ok"
 # link + device chaos in release (crash/hang/unplug/rejoin must be
 # result-invisible with a balanced task census), the error-path suite
 # pins the single-failover counters (replacement, re-execution, a
-# second survivor dying before its kick) beside it, then the example
-# drives 8 more seeds end to end — it asserts its results against a
-# fault-free twin internally. The allocation-budget suite holds every
-# crossing to one heap allocation (its wire buffer) in release.
+# second survivor dying before its kick, a degraded nested call
+# returning to its parked frame) beside it, then the example drives 8
+# more seeds end to end — it asserts its results against a fault-free
+# twin internally. The heap-budget suite holds every crossing to one
+# heap allocation (its wire buffer) and a serving run to at most 64
+# bytes retained per reaped request, in release.
 cargo test -q --release --test failover
 cargo test -q --release --test error_paths
 cargo test -q --release --test crossing_allocs

@@ -1,19 +1,24 @@
-//! Heap allocation budget of one ISA crossing.
+//! Heap budgets of the crossing path: allocations per ISA crossing, and
+//! bytes retained per served request.
 //!
 //! A crossing moves one 128-byte descriptor across the link. The only
 //! heap allocation it needs is the wire buffer handed to the DMA ring;
 //! the host retains descriptors, not extra copies of their bytes, and
-//! the per-thread maps grow once and are reused.
+//! the per-thread table grows once and is reused. A served request's
+//! task is reaped at exit and its per-thread record goes with it, so a
+//! long serving run holds no state for requests already done.
 //!
-//! A counting global allocator tallies allocations per thread, so tests
-//! running in parallel do not pollute each other's counts. Each case
-//! runs the same program at two sizes and divides the difference in
-//! allocations by the difference in crossings, which cancels the fixed
-//! cost of a run (the outcome's stats snapshot, first-touch map growth).
+//! A counting global allocator tallies allocations and net live bytes
+//! per thread, so tests running in parallel do not pollute each other's
+//! counts. Each case runs the same workload at two sizes and divides
+//! the difference by the difference in crossings or requests, which
+//! cancels the fixed cost of a run (the outcome's stats snapshot,
+//! first-touch map growth, decoded text).
 
 use flick::{handlers, Machine};
 use flick_sim::TraceConfig;
 use flick_workloads::nullcall::null_call_program;
+use flick_workloads::serving::{build_serving_fleet, gen_requests, ServingScenario};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -21,31 +26,38 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+fn note_alloc(bytes: i64) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    note_bytes(bytes);
 }
 
-// SAFETY: every call forwards to `System` unchanged; the counter is a
-// const-initialised thread local that never allocates.
+fn note_bytes(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialised thread locals that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -100,4 +112,37 @@ fn plain_null_call_allocates_once_per_crossing() {
 fn nested_null_call_allocates_once_per_crossing() {
     let per = allocs_per_crossing(true);
     assert!(per <= 1.0, "{per:.3} heap allocations per crossing");
+}
+
+/// Serves `requests` requests of a 12-tenant fleet at 30k requests per
+/// simulated second and returns the heap bytes the run left allocated
+/// while the machine lives on (the report is dropped first).
+fn bytes_retained_by_serving(requests: usize) -> i64 {
+    let cfg = ServingScenario {
+        tenants: 12,
+        requests,
+        offered_rps: 30_000.0,
+        ..ServingScenario::default()
+    };
+    let (mut m, tenants) = build_serving_fleet(&cfg).expect("fleet");
+    let reqs = gen_requests(&cfg);
+    let before = LIVE_BYTES.with(Cell::get);
+    let report = m
+        .run_serving(&tenants, &reqs, u64::MAX, cfg.quantum)
+        .expect("serving run");
+    assert_eq!(report.completions.len(), requests);
+    drop(report);
+    let retained = LIVE_BYTES.with(Cell::get) - before;
+    drop(m);
+    retained
+}
+
+#[test]
+fn serving_retains_no_state_per_reaped_request() {
+    let (r1, r2) = (
+        bytes_retained_by_serving(1_000),
+        bytes_retained_by_serving(2_000),
+    );
+    let per = (r2 - r1) as f64 / 1_000.0;
+    assert!(per <= 64.0, "{per:.1} bytes retained per reaped request");
 }

@@ -533,6 +533,53 @@ fn nxp_death_during_link_outage_fails_over() {
 }
 
 #[test]
+fn degraded_nested_call_returns_to_the_parked_frame() {
+    // main(5) → rv64 nxp_wrap → host host_mid → arm64 nxp_leaf (+2),
+    // then nxp_wrap adds 1: exit 8. The first two injection points
+    // (the rv64 call burst and the escalated call's reply) pass, then
+    // every burst is dropped: the arm64 call degrades to the host
+    // interpreter. Its NxP was recorded as a continuation before the
+    // send, so unless the degrade drops that entry the return leg goes
+    // to the arm64 NxP, which holds no park of nxp_wrap's frame.
+    use flick_isa::IsaId;
+    let mut p = ProgramBuilder::new("err");
+    let mut main = FuncBuilder::new("main", TargetIsa::Host);
+    main.li(abi::A0, 5);
+    main.call("nxp_wrap");
+    main.call("flick_exit");
+    p.func(main.finish());
+    let mut w = FuncBuilder::new("nxp_wrap", TargetIsa::Nxp);
+    w.prologue(16, &[]);
+    w.call("host_mid");
+    w.addi(abi::A0, abi::A0, 1);
+    w.epilogue(16, &[]);
+    p.func(w.finish());
+    let mut h = FuncBuilder::new("host_mid", TargetIsa::Host);
+    h.prologue(16, &[]);
+    h.call("nxp_leaf");
+    h.epilogue(16, &[]);
+    p.func(h.finish());
+    let mut l = FuncBuilder::new("nxp_leaf", TargetIsa::Arm64);
+    l.addi(abi::A0, abi::A0, 2);
+    l.ret();
+    p.func(l.finish());
+    let plan = FaultPlan::seeded(5)
+        .with_skip(2)
+        .with_drop_burst(1.0)
+        .with_max_injections(7);
+    let mut m = Machine::builder()
+        .topology(Topology::new(1, 2))
+        .nxp_isas(vec![IsaId::Rv64, IsaId::Arm64])
+        .fault_plan(plan)
+        .build();
+    let pid = m.load_program(&mut p).expect("load");
+    let out = m.run(pid).expect("degraded nested run completes");
+    assert_eq!(out.exit_code, 8);
+    assert_eq!(out.stats.get("migrations_degraded"), 1);
+    assert_eq!(out.stats.get("emulated_calls"), 1);
+}
+
+#[test]
 fn task_census_balances_across_randomized_device_chaos() {
     // Property: whatever the crash/rejoin schedule — including double
     // failures — every spawned thread is exactly-once live or exited.
