@@ -27,9 +27,9 @@
 //! * [`topology`] — N host cores × M NxPs ([`Topology`]) and the
 //!   [`NxpPlacement`] policy that spreads concurrent in-flight calls
 //!   across the NxPs.
-//! * [`health`] — per-NxP liveness tracking and the failover circuit
-//!   breaker ([`HealthMonitor`]) that routes work away from dead
-//!   devices and probes rejoining ones.
+//! * [`health`] — the failover circuit breaker ([`NxpHealth`], one
+//!   per NxP record) that routes work away from dead devices and
+//!   probes rejoining ones.
 //!
 //! # Quickstart
 //!
@@ -71,7 +71,7 @@ pub mod timeline;
 pub mod topology;
 
 pub use descriptor::{DescError, DescKind, MigrationDescriptor};
-pub use health::{BreakerState, HealthMonitor, NxpHealth};
+pub use health::{BreakerState, NxpHealth};
 pub use machine::{best_fit_accel_isa, Machine, MachineBuilder, Outcome, RunError};
 pub use nxp::NxpTiming;
 pub use serving::{ServingCompletion, ServingReport, ServingRequest};

@@ -7,8 +7,7 @@
 //! thread.
 
 use super::{Machine, PendingWake, RunError};
-use crate::descriptor::{DescError, MigrationDescriptor};
-use crate::health::BreakerState;
+use crate::descriptor::{DescError, DescKind, MigrationDescriptor};
 use flick_mem::VirtAddr;
 use flick_os::OsTiming;
 use flick_sim::fault::BurstPerturbation;
@@ -212,8 +211,7 @@ impl Machine {
                         Pickup::Corrupt => {
                             // The NxP NAKed: the NAK crosses the link
                             // and the host driver re-kicks.
-                            self.health.note_failure(nc);
-                            let t = self.nxps[nc].clock().now();
+                            let t = self.nxps[nc].core.clock().now();
                             self.hosts[hc].clock_mut().sync_to(t);
                             self.hosts[hc].clock_mut().advance(nak_path);
                             continue;
@@ -222,7 +220,6 @@ impl Machine {
                     }
                 }
             }
-            self.health.note_failure(nc);
             self.hosts[hc]
                 .clock_mut()
                 .advance(retry.backoff_for(attempt));
@@ -266,6 +263,7 @@ impl Machine {
     pub(super) fn arm_watchdog(&mut self, hc: usize, pid: u64, wake: &PendingWake) -> Result<(), RunError> {
         let base = wake.msi_at.unwrap_or_else(|| {
             self.nxps[wake.chan]
+                .core
                 .clock()
                 .now()
                 .max(self.hosts[hc].clock().now())
@@ -281,7 +279,7 @@ impl Machine {
     /// hold. Entries are pushed in NxP-clock order, so draining the due
     /// prefix keeps the queue exactly the not-yet-picked-up set.
     fn ring_sim_occupied(&mut self, nc: usize, now: Picos, cap: usize) -> bool {
-        let q = &mut self.ring_occupancy[nc];
+        let q = &mut self.nxps[nc].pickups;
         while q.front().is_some_and(|&t| t <= now) {
             q.pop_front();
         }
@@ -407,7 +405,7 @@ impl Machine {
             // died with the old incarnation, so re-execute — the
             // rejoined device reading healthy does not make the stale
             // reply deliverable.
-            let stale = self.chans[wake.chan].incarnation != wake.incarnation;
+            let stale = self.nxps[wake.chan].seqs.incarnation != wake.incarnation;
             if dead_now
                 || stale
                 || (attempt > timing.retry.max_link_attempts && fault.is_some())
@@ -475,7 +473,7 @@ impl Machine {
             // (unattributable, so whoever looks first NAKs it).
             // The predicate's verdict on the burst it claims is the
             // last one it returns, so that parse is reused below.
-            let seqs = &self.chans[chan];
+            let seqs = &self.nxps[chan].seqs;
             let mut claimed = Err(DescError::TooShort);
             let Some(bytes) = self.fabric.take_host_desc_where(chan, now, |b| {
                 claimed = MigrationDescriptor::from_bytes_checked(b);
@@ -504,7 +502,7 @@ impl Machine {
                     self.hosts[hc].clock_mut().advance(timing.nak_path);
                     return Ok(None);
                 }
-                Ok(d) if self.chans[chan].host_has_accepted(d.seq) => {
+                Ok(d) if self.nxps[chan].seqs.host_has_accepted(d.seq) => {
                     self.stats.bump("duplicate_descs_dropped");
                     self.trace.record_on(
                         CoreId::host(hc),
@@ -518,7 +516,7 @@ impl Machine {
                     continue;
                 }
                 Ok(d) => {
-                    self.chans[chan].host_mark_accepted(d.seq);
+                    self.nxps[chan].seqs.host_mark_accepted(d.seq);
                     self.trace.record_on(
                         CoreId::host(hc),
                         now,
@@ -546,10 +544,18 @@ impl Machine {
                         Event::ThreadWoken { pid },
                     );
                     // The round trip is closed: the retained copies go
-                    // with it.
+                    // with it. A final return means the thread has left
+                    // its NxP: pop the innermost continuation here, not
+                    // at the reply's send, so a failover re-execution of
+                    // the leg still moves this frame's entry. (An
+                    // escalated call keeps its frame parked — the entry
+                    // stays until that frame returns.)
                     let thread = self.thread_mut(pid)?;
                     thread.h2n = None;
                     thread.n2h = None;
+                    if d.kind == DescKind::NxpToHostReturn {
+                        thread.on_nxps.pop();
+                    }
                     if let Some(span) = thread.span.take() {
                         self.obs.mark(
                             span,
@@ -571,7 +577,7 @@ impl Machine {
                                 .record_hist("span:total", s.total().as_picos());
                         }
                     }
-                    self.health.note_activity(chan, now);
+                    self.nxps[chan].health.note_activity();
                     return Ok(Some(d.seq));
                 }
             }
@@ -583,87 +589,65 @@ impl Machine {
     /// sequence number.
     fn nxp_pickup(&mut self, nc: usize, arrival: Picos, expect_seq: u64) -> Pickup {
         let nt = self.nxp_timing.clone();
+        let on = CoreId::nxp(nc);
         // The scheduler's poll loop observes the status register.
-        let now = self.nxps[nc].clock().now().max(arrival);
+        let now = self.nxps[nc].core.clock().now().max(arrival);
         // A dead device never reaches its poll: the burst stays in the
         // ring and the device clock stays frozen. Checked before any
         // clock moves so failover replays bit-identically.
         if self.plan.device_state(nc, now).is_some() {
             return Pickup::Dead;
         }
-        self.nxps[nc].clock_mut().sync_to(now + nt.poll_period);
-        let Some(in_bytes) = self.fabric.poll_nxp(nc, self.nxps[nc].clock().now()) else {
+        let clock = self.nxps[nc].core.clock_mut();
+        clock.sync_to(now + nt.poll_period);
+        let polled = clock.now();
+        let Some(in_bytes) = self.fabric.poll_nxp(nc, polled) else {
             // Burst never queued — indistinguishable from a lost one.
             return Pickup::Corrupt;
         };
         match MigrationDescriptor::from_bytes_checked(&in_bytes) {
-            Ok(d) if !self.chans[nc].nxp_accept(d.seq) => {
+            Ok(d) if !self.nxps[nc].seqs.nxp_accept(d.seq) => {
                 self.stats.bump("duplicate_descs_dropped");
-                self.trace.record_on(
-                    CoreId::nxp(nc),
-                    self.nxps[nc].clock().now(),
-                    Event::DuplicateDescriptor {
-                        to: Side::Nxp,
-                        seq: d.seq,
-                    },
-                );
+                let e = Event::DuplicateDescriptor {
+                    to: Side::Nxp,
+                    seq: d.seq,
+                };
+                self.trace.record_on(on, polled, e);
                 Pickup::Duplicate
             }
             Ok(d) => {
-                self.trace.record_on(
-                    CoreId::nxp(nc),
-                    self.nxps[nc].clock().now(),
-                    Event::DescriptorReceived {
-                        to: Side::Nxp,
-                        kind: d.kind.label(),
-                    },
-                );
-                self.nxps[nc].clock_mut().advance(nt.dispatch);
+                let e = Event::DescriptorReceived {
+                    to: Side::Nxp,
+                    kind: d.kind.label(),
+                };
+                self.trace.record_on(on, polled, e);
+                let slot = &mut self.nxps[nc];
+                slot.core.clock_mut().advance(nt.dispatch);
+                let picked = slot.core.clock().now();
                 // Occupancy admission bookkeeping: this burst's ring
                 // slot frees at the instant the scheduler picked it up.
-                self.ring_occupancy[nc].push_back(self.nxps[nc].clock().now());
+                slot.pickups.push_back(picked);
+                // Sign of life: a pickup on a half-open breaker is the
+                // probe succeeding.
+                let probe = slot.health.note_activity();
                 // The wire bytes carry the span id, so the NxP side
                 // attributes its mark without any host-side channel.
-                self.obs.mark(
-                    d.span,
-                    SpanStage::NxpDispatch,
-                    self.nxps[nc].clock().now(),
-                    CoreId::nxp(nc),
-                );
-                // Sign of life: reset the failure streak; a pickup on a
-                // half-open breaker is the probe succeeding.
-                let was_probe = self.health.state(nc) == BreakerState::HalfOpen;
-                self.health
-                    .note_activity(nc, self.nxps[nc].clock().now());
-                if was_probe {
+                self.obs.mark(d.span, SpanStage::NxpDispatch, picked, on);
+                if probe {
                     self.stats.bump("nxp_probes_ok");
-                    self.trace.record_on(
-                        CoreId::nxp(nc),
-                        self.nxps[nc].clock().now(),
-                        Event::ProbeSucceeded { nxp: nc },
-                    );
+                    self.trace
+                        .record_on(on, picked, Event::ProbeSucceeded { nxp: nc });
                 }
                 Pickup::Accept(in_bytes, d)
             }
             Err(_) => {
                 // The link CRC caught in-flight corruption: NAK it.
                 self.stats.bump("crc_rejects");
-                self.trace.record_on(
-                    CoreId::nxp(nc),
-                    self.nxps[nc].clock().now(),
-                    Event::CorruptDescriptor {
-                        to: Side::Nxp,
-                        seq: expect_seq,
-                    },
-                );
-                self.trace.record_on(
-                    CoreId::nxp(nc),
-                    self.nxps[nc].clock().now(),
-                    Event::NakSent {
-                        from: Side::Nxp,
-                        seq: expect_seq,
-                    },
-                );
+                let (to, from, seq) = (Side::Nxp, Side::Nxp, expect_seq);
+                let corrupt = Event::CorruptDescriptor { to, seq };
+                self.trace.record_on(on, polled, corrupt);
+                let nak = Event::NakSent { from, seq };
+                self.trace.record_on(on, polled, nak);
                 Pickup::Corrupt
             }
         }

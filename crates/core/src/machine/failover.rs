@@ -2,7 +2,7 @@
 //! to a surviving NxP of the same ISA, and — with no survivor left —
 //! graceful degradation of the call to the host-side interpreter.
 
-use super::{isa_from_tag, runtime_stop, Machine, PendingWake, RunError, ARG_REGS};
+use super::{isa_from_tag, runtime_stop, Machine, NxpSlot, PendingWake, RunError, ARG_REGS};
 use crate::descriptor::MigrationDescriptor;
 use flick_cpu::{Core, CoreConfig, Exception, InstFaultKind, StopReason};
 use flick_isa::abi;
@@ -22,11 +22,11 @@ impl Machine {
         }
         let now = self.hosts[hc].clock().now();
         for nc in 0..self.nxps.len() {
-            if self.health.is_open(nc) && self.plan.device_up(nc, now) {
-                self.chans[nc].rejoin();
-                self.fabric.reap_channel(nc);
-                self.irq.purge_vector(nc as u32);
-                self.health.rejoin(nc);
+            if self.nxps[nc].health.is_open() && self.plan.device_up(nc, now) {
+                let slot = &mut self.nxps[nc];
+                slot.seqs.rejoin();
+                slot.health.rejoin();
+                self.quiesce(nc);
                 self.stats.bump("nxp_rejoins");
                 self.trace
                     .record_on(CoreId::host(hc), now, Event::NxpRejoined { nxp: nc });
@@ -40,11 +40,12 @@ impl Machine {
     /// on a later one. Reaping loses no work — every open round trip
     /// retains its h2n descriptor host-side for re-execution. Idempotent.
     pub(super) fn declare_nxp_dead(&mut self, hc: usize, nc: usize, fault: DeviceFaultKind) {
-        if self.health.is_open(nc) {
+        let health = &mut self.nxps[nc].health;
+        if health.is_open() {
             return;
         }
+        health.declare_dead();
         let now = self.hosts[hc].clock().now();
-        self.health.declare_dead(nc);
         self.stats.bump("nxp_deaths");
         self.trace.record_on(
             CoreId::host(hc),
@@ -56,8 +57,7 @@ impl Machine {
         );
         self.trace
             .record_on(CoreId::host(hc), now, Event::NxpDeclaredDead { nxp: nc });
-        let reaped = self.fabric.reap_channel(nc);
-        let purged = self.irq.purge_vector(nc as u32);
+        let (reaped, purged) = self.quiesce(nc);
         self.stats.bump_by("descs_reaped", reaped as u64);
         self.stats.bump_by("msis_purged", purged as u64);
         self.trace.record_on(
@@ -70,6 +70,14 @@ impl Machine {
         );
     }
 
+    /// Quiesces NxP `nc`'s channel, on its death and on its rejoin:
+    /// reaps both ring directions and purges its MSI vector. Returns
+    /// how many descriptors were reaped and MSIs purged.
+    fn quiesce(&mut self, nc: usize) -> (usize, usize) {
+        let reaped = self.fabric.reap_channel(nc);
+        (reaped, self.irq.purge_vector(nc as u32))
+    }
+
     /// Deterministic failover placement: the surviving NxP whose clock
     /// is earliest (ties toward the lowest index) — a victim always
     /// re-places onto the least-loaded survivor, whatever the
@@ -78,11 +86,11 @@ impl Machine {
     /// at its first fetch instead of making progress. `avoid` is the
     /// slot the leg started from, never a target even once it rejoins.
     pub(super) fn pick_failover_target(&self, avoid: usize) -> Option<usize> {
-        let isa = self.nxp_isas[avoid];
-        self.health
-            .live()
-            .filter(|&k| k != avoid && self.nxp_isas[k] == isa)
-            .min_by_key(|&k| (self.nxps[k].clock().now(), k))
+        let isa = self.nxps[avoid].core.config().isa;
+        let fits = |s: &NxpSlot| !s.health.is_open() && s.core.config().isa == isa;
+        (0..self.nxps.len())
+            .filter(|&k| k != avoid && fits(&self.nxps[k]))
+            .min_by_key(|&k| (self.nxps[k].core.clock().now(), k))
     }
 
     /// Moves `pid`'s open host→NxP leg from NxP `from` to `to`: a fresh
@@ -116,7 +124,7 @@ impl Machine {
                 },
             );
         }
-        desc.seq = self.chans[to].next_h2n();
+        desc.seq = self.nxps[to].seqs.next_h2n();
         if let Some(thread) = self.threads.get_mut(&pid) {
             match thread.on_nxps.last_mut() {
                 Some(top) => *top = to,
@@ -234,7 +242,7 @@ impl Machine {
         let tag = flick_paging::walk(|a| self.mem.read_u64(a), host_cr3, va)
             .map(|t| t.isa_tag)
             .unwrap_or(0);
-        let guest = isa_from_tag(tag, &self.nxp_isas);
+        let guest = isa_from_tag(tag, self.best_fit);
         if self.emus[hc]
             .as_ref()
             .is_some_and(|e| e.config().isa != guest)

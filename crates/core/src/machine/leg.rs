@@ -24,16 +24,9 @@ impl Machine {
         desc: &MigrationDescriptor,
     ) -> Result<PendingWake, RunError> {
         let mut out = self.run_leg(nc, pid, in_bytes, desc)?;
-        out.seq = self.chans[nc].next_n2h();
-        let thread = self.thread_mut(pid)?;
-        // A final return means the thread has left this NxP: pop its
-        // innermost continuation. (An escalated call keeps the frame
-        // parked here — the entry stays until that frame returns.)
-        if out.kind == DescKind::NxpToHostReturn {
-            thread.on_nxps.pop();
-        }
-        thread.n2h = Some((nc, out));
-        let now = self.nxps[nc].clock().now();
+        out.seq = self.nxps[nc].seqs.next_n2h();
+        self.thread_mut(pid)?.n2h = Some((nc, out));
+        let now = self.nxps[nc].core.clock().now();
         self.obs
             .mark(out.span, SpanStage::NxpSubmit, now, CoreId::nxp(nc));
         // A crashed or unplugged device cannot DMA its reply out — the
@@ -47,7 +40,7 @@ impl Machine {
         Ok(PendingWake {
             msi_at,
             chan: nc,
-            incarnation: self.chans[nc].incarnation,
+            incarnation: self.nxps[nc].seqs.incarnation,
         })
     }
 
@@ -70,7 +63,8 @@ impl Machine {
         let desc_phys = self.nxp_desc_phys();
         let on = CoreId::nxp(nc);
         let nt = &self.nxp_timing;
-        let core = &mut self.nxps[nc];
+        let core = &mut self.nxps[nc].core;
+        let leg_isa = core.config().isa;
         let record = self.threads.get_mut(&pid).ok_or(RunError::Protocol {
             side: Side::Nxp,
             context: "descriptor for a thread with no per-thread record",
@@ -81,7 +75,7 @@ impl Machine {
         // loudly instead of jumping through a wrong-ISA handler.
         let handlers = record
             .vas
-            .accel_handlers(self.nxp_isas[nc])
+            .accel_handlers(leg_isa)
             .map(|(entry, lp)| (lp, entry));
         let span = record.span.unwrap_or(0);
         let thread = &mut record.nxp;
@@ -96,7 +90,6 @@ impl Machine {
         if core.cr3() != PhysAddr(desc.cr3) {
             core.set_cr3(PhysAddr(desc.cr3));
         }
-        let leg_isa = core.config().isa;
         if desc.kind == DescKind::HostToNxpCall {
             if let Some(ctx) = thread.idle[leg_isa.tag() as usize].take() {
                 // The thread is idle in this ISA's handler loop: resume

@@ -15,7 +15,7 @@ mod serving;
 
 use crate::descriptor::{DescKind, MigrationDescriptor};
 use crate::handlers;
-use crate::health::HealthMonitor;
+use crate::health::NxpHealth;
 use crate::nxp::{NxpThread, NxpTiming};
 use crate::serving::ServingCtx;
 use crate::services::{self as svc, desc_layout as L};
@@ -178,16 +178,16 @@ impl ProcessVas {
 
 /// Maps a PTE ISA tag (stored as `tag + 1`; `0` = untagged) to the
 /// accelerator ISA it names. Untagged and non-accelerator tags resolve
-/// by **best fit** over the machine's accelerator fleet (see
-/// [`best_fit_accel_isa`]) instead of hard-defaulting to rv64 — on a
+/// to `best_fit`, the machine's **best fit** over its accelerator fleet
+/// (see [`best_fit_accel_isa`]) instead of hard-defaulting to rv64 — on a
 /// fleet with no rv64 slot the old default would bounce every untagged
 /// call through the wrong-ISA fallback path.
-fn isa_from_tag(tag: u8, fleet: &[IsaId]) -> IsaId {
+fn isa_from_tag(tag: u8, best_fit: IsaId) -> IsaId {
     match tag {
-        0 => best_fit_accel_isa(fleet),
+        0 => best_fit,
         t => IsaId::from_tag(t - 1)
             .filter(|g| g.descriptor().nx_text)
-            .unwrap_or_else(|| best_fit_accel_isa(fleet)),
+            .unwrap_or(best_fit),
     }
 }
 
@@ -335,6 +335,34 @@ impl Thread {
     }
 }
 
+/// Everything the machine keeps for one NxP: the device's core and
+/// the host driver's view of its channel. Slot `k` is NxP `k`, behind
+/// descriptor channel `k` and MSI vector `k`.
+struct NxpSlot {
+    /// The NxP core; its configuration names the slot's ISA.
+    core: Core,
+    /// The channel's sequence spaces and incarnation.
+    seqs: ChannelSeqs,
+    /// Simulated pickup instants of kicked bursts, used by the
+    /// ring-occupancy half of the admission check.
+    pickups: VecDeque<Picos>,
+    /// Liveness and circuit-breaker state, driven purely by *observed*
+    /// delivery failures and successes on the deterministic timeline —
+    /// never by peeking at the fault schedule.
+    health: NxpHealth,
+}
+
+impl NxpSlot {
+    fn new(cfg: CoreConfig) -> Self {
+        NxpSlot {
+            core: Core::new(cfg),
+            seqs: ChannelSeqs::default(),
+            pickups: VecDeque::new(),
+            health: NxpHealth::default(),
+        }
+    }
+}
+
 /// What one host core currently holds between scheduling turns.
 #[derive(Clone, Copy, Debug, Default)]
 struct CoreSlot {
@@ -404,7 +432,10 @@ impl MachineBuilder {
         self
     }
 
-    /// Overrides the NxP core configuration.
+    /// Overrides the NxP core configuration of the rv64 slots (every
+    /// slot unless [`MachineBuilder::nxp_isas`] lists others). A slot's
+    /// ISA is read from its core configuration, so a configuration of
+    /// another accelerator ISA makes those slots run that ISA.
     pub fn nxp_core(mut self, c: CoreConfig) -> Self {
         self.nxp_cfg = Some(c);
         self
@@ -464,7 +495,8 @@ impl MachineBuilder {
     /// (descriptor `nx_text` set). A custom [`MachineBuilder::nxp_core`]
     /// configuration applies to the rv64 slots only; other ISAs derive
     /// their configuration from the descriptor via
-    /// [`CoreConfig::accel`].
+    /// [`CoreConfig::accel`]. Either way the slot's ISA is the one its
+    /// core configuration names.
     pub fn nxp_isas(mut self, isas: Vec<IsaId>) -> Self {
         self.nxp_isas = Some(isas);
         self
@@ -505,15 +537,10 @@ impl MachineBuilder {
         }
         let topology = self.topology.unwrap_or_default();
         let listed = self.nxp_isas.unwrap_or_default();
-        let nxp_isas: Vec<IsaId> = (0..topology.nxp_cores)
-            .map(|i| listed.get(i).copied().unwrap_or(IsaId::Rv64))
-            .collect();
-        let nxp_cfgs: Vec<CoreConfig> = nxp_isas
-            .iter()
-            .map(|&isa| {
-                if isa == IsaId::Rv64 {
-                    nxp_cfg.clone()
-                } else {
+        let nxps: Vec<NxpSlot> = (0..topology.nxp_cores)
+            .map(|i| match listed.get(i).copied().unwrap_or(IsaId::Rv64) {
+                IsaId::Rv64 => nxp_cfg.clone(),
+                isa => {
                     let mut c = CoreConfig::accel(isa);
                     if let Some(fp) = self.fast_path {
                         c.fast_path = fp;
@@ -521,13 +548,15 @@ impl MachineBuilder {
                     c
                 }
             })
+            .map(NxpSlot::new)
             .collect();
+        let fleet: Vec<IsaId> = nxps.iter().map(|s| s.core.config().isa).collect();
         Machine {
             hosts: (0..topology.host_cores)
                 .map(|_| Core::new(host_cfg.clone()))
                 .collect(),
-            nxps: nxp_cfgs.iter().map(|c| Core::new(c.clone())).collect(),
-            nxp_isas,
+            best_fit: best_fit_accel_isa(&fleet),
+            nxps,
             fabric: PcieFabric::new(env.latency.clone(), topology.nxp_cores),
             irq: InterruptController::new(),
             kernel,
@@ -538,8 +567,6 @@ impl MachineBuilder {
             symbols: HashMap::new(),
             plan: self.fault_plan.unwrap_or_else(FaultPlan::none),
             emus: (0..topology.host_cores).map(|_| None).collect(),
-            chans: vec![ChannelSeqs::default(); topology.nxp_cores],
-            health: HealthMonitor::new(topology.nxp_cores),
             placement: self.nxp_placement.unwrap_or_default(),
             rr_next: 0,
             obs: SpanRecorder::new(self.observability.unwrap_or(false)),
@@ -549,7 +576,6 @@ impl MachineBuilder {
             retired_emu_insts: 0,
             fuel_end: u64::MAX,
             serving: None,
-            ring_occupancy: vec![VecDeque::new(); topology.nxp_cores],
             topology,
             mem,
             env,
@@ -565,10 +591,11 @@ pub struct Machine {
     env: MemEnv,
     topology: Topology,
     hosts: Vec<Core>,
-    nxps: Vec<Core>,
-    /// ISA of each NxP slot, in slot order (stable across failover
-    /// rejoins).
-    nxp_isas: Vec<IsaId>,
+    /// One record per NxP, in slot order.
+    nxps: Vec<NxpSlot>,
+    /// The accelerator ISA an untagged call target resolves to: the
+    /// best fit over the fleet ([`best_fit_accel_isa`]), fixed at build.
+    best_fit: IsaId,
     fabric: PcieFabric,
     irq: InterruptController,
     kernel: Kernel,
@@ -586,12 +613,6 @@ pub struct Machine {
     /// Lazily created per-host-core interpreter cores for degraded
     /// threads.
     emus: Vec<Option<Core>>,
-    /// Per-channel sequence-number state (one entry per NxP).
-    chans: Vec<ChannelSeqs>,
-    /// Per-NxP liveness and circuit-breaker state, driven purely by
-    /// *observed* delivery failures/successes on the deterministic
-    /// timeline — never by peeking at the fault schedule.
-    health: HealthMonitor,
     /// Placement policy for fresh host→NxP calls.
     placement: NxpPlacement,
     /// Round-robin cursor for [`NxpPlacement::RoundRobin`].
@@ -623,9 +644,6 @@ pub struct Machine {
     /// the event loop; `None` in every other mode, which keeps the
     /// closed-loop paths byte-identical to the pre-serving machine.
     serving: Option<ServingCtx>,
-    /// Per-channel simulated pickup instants of kicked bursts, used by
-    /// the ring-occupancy half of the admission check.
-    ring_occupancy: Vec<VecDeque<Picos>>,
 }
 
 impl fmt::Debug for Machine {
@@ -726,9 +744,10 @@ impl Machine {
         self.plan.counts()
     }
 
-    /// Per-NxP health and circuit-breaker state.
-    pub fn health(&self) -> &HealthMonitor {
-        &self.health
+    /// Health and circuit-breaker state of NxP `nc`, or `None` when
+    /// the machine has no such NxP.
+    pub fn nxp_health(&self, nc: usize) -> Option<NxpHealth> {
+        self.nxps.get(nc).map(|s| s.health)
     }
 
     /// Fleet-wide task census: `(live, exited)` pids, each spawned
@@ -799,8 +818,8 @@ impl Machine {
         for (i, c) in self.hosts.iter().enumerate() {
             out.push((CoreId::host(i), c.stats()));
         }
-        for (i, c) in self.nxps.iter().enumerate() {
-            out.push((CoreId::nxp(i), c.stats()));
+        for (i, s) in self.nxps.iter().enumerate() {
+            out.push((CoreId::nxp(i), s.core.stats()));
         }
         for (i, c) in self.emus.iter().enumerate() {
             if let Some(c) = c {
@@ -821,7 +840,7 @@ impl Machine {
         let cores = self
             .hosts
             .iter()
-            .chain(self.nxps.iter())
+            .chain(self.nxps.iter().map(|s| &s.core))
             .chain(self.emus.iter().flatten());
         for c in cores {
             total += *c.chain_counters();
@@ -840,8 +859,8 @@ impl Machine {
                 Some(c) => format!("{core} ({})", c.config().isa.name()),
                 None => core.to_string(),
             },
-            Side::Nxp => match self.nxp_isas.get(core.index) {
-                Some(isa) => format!("{core} ({})", isa.name()),
+            Side::Nxp => match self.nxps.get(core.index) {
+                Some(s) => format!("{core} ({})", s.core.config().isa.name()),
                 None => core.to_string(),
             },
             Side::Emu => match self.emus.get(core.index).and_then(|c| c.as_ref()) {
@@ -1271,15 +1290,15 @@ impl Machine {
     /// by best fit over the accelerator fleet ([`best_fit_accel_isa`]).
     fn call_target_isa(&self, pid: u64) -> IsaId {
         let Ok(task) = self.kernel.task(pid) else {
-            return best_fit_accel_isa(&self.nxp_isas);
+            return self.best_fit;
         };
         let Some(va) = task.fault_va else {
-            return best_fit_accel_isa(&self.nxp_isas);
+            return self.best_fit;
         };
         let tag = flick_paging::walk(|a| self.mem.read_u64(a), task.cr3, va)
             .map(|t| t.isa_tag)
             .unwrap_or(0);
-        isa_from_tag(tag, &self.nxp_isas)
+        isa_from_tag(tag, self.best_fit)
     }
 
     fn executed(&self) -> u64 {
@@ -1292,7 +1311,7 @@ impl Machine {
                 + self
                     .hosts
                     .iter()
-                    .chain(self.nxps.iter())
+                    .chain(self.nxps.iter().map(|s| &s.core))
                     .chain(self.emus.iter().flatten())
                     .map(|c| c.counters().instructions)
                     .sum::<u64>(),
@@ -1328,8 +1347,8 @@ impl Machine {
         }
         // Prefix-less merge would collide; fold NxP counters under a
         // different name space.
-        for nxp in &self.nxps {
-            for (k, v) in nxp.stats().iter() {
+        for slot in &self.nxps {
+            for (k, v) in slot.core.stats().iter() {
                 let name: &'static str = match k {
                     "instructions" => "nxp_instructions",
                     "itlb_misses" => "nxp_itlb_misses",
@@ -1351,8 +1370,7 @@ impl Machine {
         // schedule exists so fault-free observability output is
         // byte-identical to the pre-failover machine.
         if self.obs.enabled() && self.plan.has_device_events() {
-            for i in 0..self.nxps.len() {
-                let h = *self.health.health(i);
+            for (i, h) in self.nxps.iter().map(|s| s.health).enumerate() {
                 self.obs_stats
                     .record_hist(&format!("health:deaths:nxp{i}"), h.deaths);
                 self.obs_stats
@@ -1474,7 +1492,7 @@ impl Machine {
                 nc
             }
         };
-        let seq = self.chans[nc].next_h2n();
+        let seq = self.nxps[nc].seqs.next_h2n();
         // The span id is assigned unconditionally — it lives in the
         // descriptor's wire bytes, so it must not depend on whether
         // span *recording* is enabled (bit-inert observability).
@@ -1608,9 +1626,9 @@ impl Machine {
     /// slot of the wanted ISA at all keeps the generic pool.
     fn place_call(&mut self, want: IsaId) -> Option<usize> {
         let n = self.nxps.len();
-        let any_live = self.health.live().next().is_some();
-        let in_pool = |k: usize| !any_live || !self.health.is_open(k);
-        let of_isa = |k: usize| self.nxp_isas[k] == want;
+        let any_live = self.nxps.iter().any(|s| !s.health.is_open());
+        let in_pool = |k: usize| !any_live || !self.nxps[k].health.is_open();
+        let of_isa = |k: usize| self.nxps[k].core.config().isa == want;
         let live_of_isa = (0..n).any(|k| in_pool(k) && of_isa(k));
         let some_of_isa = (0..n).any(of_isa);
         let cand = |k: &usize| match (live_of_isa, some_of_isa) {
@@ -1627,7 +1645,7 @@ impl Machine {
             }
             NxpPlacement::LeastLoaded => (0..n)
                 .filter(cand)
-                .min_by_key(|&k| (self.nxps[k].clock().now(), k)),
+                .min_by_key(|&k| (self.nxps[k].core.clock().now(), k)),
         }
     }
 

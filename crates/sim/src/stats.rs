@@ -281,8 +281,16 @@ impl Stats {
     }
 
     /// Adds one sample to histogram `name`, creating it when absent.
+    /// The key is allocated only on that first insert.
     pub fn record_hist(&mut self, name: &str, sample: u64) {
-        self.hists.entry(name.to_string()).or_default().record(sample);
+        if let Some(h) = self.hists.get_mut(name) {
+            h.record(sample);
+        } else {
+            self.hists
+                .entry(name.to_string())
+                .or_default()
+                .record(sample);
+        }
     }
 
     /// Reads histogram `name`, `None` when absent.

@@ -107,12 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nhealth ledger:");
     for nc in 0..3 {
-        let h = m.health().health(nc);
+        let h = m.nxp_health(nc).expect("a 3-NxP fleet");
         println!(
             "  nxp{nc}: {:?}, {} death(s), {} recover(ies)",
-            m.health().state(nc),
-            h.deaths,
-            h.recoveries
+            h.breaker, h.deaths, h.recoveries
         );
     }
     println!("\nfailover counters:");

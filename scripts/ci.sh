@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gate: release build, the whole workspace test suite, and
-# clippy with warnings promoted to errors. Run from anywhere.
+# clippy with warnings promoted to errors. Run from anywhere. The
+# workspace suite includes crates/bench/tests/ablations_pinned.rs,
+# which runs the `ablations` binary and fails unless EXPERIMENTS.md
+# holds its stdout verbatim.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -457,7 +457,7 @@ fn crash_of_the_only_nxp_degrades_to_host_emulation() {
     assert_eq!(out.exit_code, 42);
     assert_eq!(out.stats.get("migrations_degraded"), 1);
     assert_eq!(m.stats().get("nxp_deaths"), 1);
-    assert_eq!(m.health().health(0).deaths, 1);
+    assert_eq!(m.nxp_health(0).unwrap().deaths, 1);
 }
 
 #[test]
@@ -577,6 +577,59 @@ fn degraded_nested_call_returns_to_the_parked_frame() {
     assert_eq!(out.exit_code, 8);
     assert_eq!(out.stats.get("migrations_degraded"), 1);
     assert_eq!(out.stats.get("emulated_calls"), 1);
+}
+
+#[test]
+fn reexecuted_inner_return_keeps_the_outer_continuation() {
+    // main(5) → rv64 rv_wrap → arm64 arm_leaf (a 2,000-iteration loop,
+    // then +2), then rv_wrap adds 1: exit 8. NxP 2 runs the leaf and
+    // crashes after the leaf's reply left it but before the host took
+    // that reply, so the watchdog re-executes the leaf on NxP 1. The
+    // thread keeps rv_wrap's continuation (NxP 0) beneath the leaf's:
+    // the re-run must move the leaf's entry, and its accepted return
+    // must pop only that entry, or rv_wrap's return leg finds no NxP.
+    use flick_isa::IsaId;
+    let mut p = ProgramBuilder::new("err");
+    let mut main = FuncBuilder::new("main", TargetIsa::Host);
+    main.li(abi::A0, 5);
+    main.call("rv_wrap");
+    main.call("flick_exit");
+    p.func(main.finish());
+    let mut w = FuncBuilder::new("rv_wrap", TargetIsa::Nxp);
+    w.prologue(16, &[]);
+    w.call("arm_leaf");
+    w.addi(abi::A0, abi::A0, 1);
+    w.epilogue(16, &[]);
+    p.func(w.finish());
+    let mut l = FuncBuilder::new("arm_leaf", TargetIsa::Arm64);
+    let top = l.new_label();
+    let done = l.new_label();
+    l.li(abi::T0, 0);
+    l.li(abi::T1, 2_000);
+    l.bind(top);
+    l.bge(abi::T0, abi::T1, done);
+    l.addi(abi::T0, abi::T0, 1);
+    l.jmp(top);
+    l.bind(done);
+    l.addi(abi::A0, abi::A0, 2);
+    l.ret();
+    p.func(l.finish());
+    let plan = FaultPlan::none().with_device_event(DeviceEvent {
+        nxp: 2,
+        kind: DeviceFaultKind::Crash,
+        at: Picos::from_nanos(50_000),
+        rejoin_at: None,
+    });
+    let mut m = Machine::builder()
+        .topology(Topology::new(1, 3))
+        .nxp_isas(vec![IsaId::Rv64, IsaId::Arm64, IsaId::Arm64])
+        .fault_plan(plan)
+        .build();
+    let pid = m.load_program(&mut p).expect("load");
+    let out = m.run(pid).expect("re-executed nested run completes");
+    assert_eq!(out.exit_code, 8);
+    assert_eq!(m.stats().get("failover_reexecutions"), 1);
+    assert_eq!(m.task_census(), (vec![], vec![pid]));
 }
 
 #[test]

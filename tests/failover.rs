@@ -106,7 +106,7 @@ fn device_chaos_soak_is_result_invisible() {
         assert_eq!(codes, clean, "seed {seed}: results diverged from clean twin");
         let pids: Vec<u64> = codes.iter().map(|(pid, _)| *pid).collect();
         assert_census(&m, &pids, &format!("seed {seed}"));
-        deaths += (0..3).map(|n| m.health().health(n).deaths).sum::<u64>();
+        deaths += (0..3).map(|n| m.nxp_health(n).unwrap().deaths).sum::<u64>();
     }
     assert!(scheduled > 0, "device chaos must schedule events");
     assert!(deaths > 0, "the soak must actually kill NxPs");
@@ -167,8 +167,9 @@ fn targeted_crash_fails_over_to_survivor() {
     assert_census(&m, &pids, "targeted crash");
 
     assert_eq!(m.stats().get("nxp_deaths"), 1);
-    assert_eq!(m.health().health(1).deaths, 1);
-    assert_eq!(m.health().state(1), BreakerState::Open);
+    let h = m.nxp_health(1).unwrap();
+    assert_eq!(h.deaths, 1);
+    assert_eq!(h.breaker, BreakerState::Open);
     assert!(
         m.stats().get("failover_replacements") + m.stats().get("failover_reexecutions") >= 1,
         "victim work must be re-placed or re-executed"
@@ -198,10 +199,10 @@ fn unplug_with_rejoin_probes_and_closes_the_breaker() {
     let pids: Vec<u64> = codes.iter().map(|(pid, _)| *pid).collect();
     assert_census(&m, &pids, "unplug/rejoin");
 
-    let h = m.health().health(1);
+    let h = m.nxp_health(1).unwrap();
     assert_eq!(h.deaths, 1, "exactly one death");
     assert_eq!(h.recoveries, 1, "the probe must close the breaker");
-    assert_eq!(m.health().state(1), BreakerState::Closed);
+    assert_eq!(h.breaker, BreakerState::Closed);
     assert_eq!(m.stats().get("nxp_rejoins"), 1);
     assert!(m.stats().get("nxp_probes_ok") >= 1);
     // After recovery both NxPs serve work again.
